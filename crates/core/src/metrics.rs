@@ -22,7 +22,7 @@
 /// let c = Confusion::from_predictions(&preds, &labels, 0);
 /// assert_eq!((c.tp, c.tn, c.fp, c.fn_), (1, 2, 1, 1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Confusion {
     /// Attacks correctly flagged as attacks (any attack class).
     pub tp: usize,
@@ -112,7 +112,7 @@ impl Confusion {
 /// combined with [`merge`](PipelineHealth::merge) under a fixed-order
 /// reduction (`pelican_runtime::tree_reduce`) without affecting the
 /// result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineHealth {
     /// Windows accepted into the ingest queue.
     pub enqueued: usize,

@@ -2,7 +2,6 @@
 //! neural comparator of Table V.
 
 use crate::blocks::{plain_block, res_blk, BlockConfig};
-use parking_lot::Mutex;
 use pelican_ml::Classifier;
 use pelican_nn::loss::SoftmaxCrossEntropy;
 use pelican_nn::optim::RmsProp;
@@ -11,6 +10,7 @@ use pelican_nn::{
     Sequential, Trainer, TrainerConfig,
 };
 use pelican_tensor::{SeededRng, Tensor};
+use std::sync::{Mutex, PoisonError};
 
 /// Architecture parameters for the paper's networks (Sections IV–V).
 #[derive(Debug, Clone, Copy)]
@@ -213,14 +213,14 @@ impl Classifier for NeuralClassifier {
             ..Default::default()
         });
         let mut opt = RmsProp::new(self.learning_rate);
-        let net = self.net.get_mut();
+        let net = self.net.get_mut().unwrap_or_else(PoisonError::into_inner);
         trainer
             .fit(net, &SoftmaxCrossEntropy, &mut opt, x, y, None)
             .unwrap_or_else(|e| panic!("{} training failed: {e}", self.name));
     }
 
     fn predict(&self, x: &Tensor) -> Vec<usize> {
-        let mut net = self.net.lock();
+        let mut net = self.net.lock().unwrap_or_else(PoisonError::into_inner);
         predict(&mut *net, x, 512)
     }
 
@@ -317,6 +317,20 @@ mod tests {
             / labels.len() as f32;
         assert!(acc > 0.9, "neural classifier accuracy {acc}");
         assert_eq!(clf.name(), "mlp");
+    }
+
+    #[test]
+    fn neural_classifier_survives_a_poisoned_lock() {
+        let x = Tensor::zeros(vec![4, 2]);
+        let mut clf = NeuralClassifier::new("mlp", mlp_baseline(2, 2, 3), 1, 4);
+        let before = pelican_ml::Classifier::predict(&clf, &x);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = clf.net.lock().unwrap();
+            panic!("panic while holding the network lock");
+        }));
+        assert!(panicked.is_err() && clf.net.is_poisoned());
+        assert_eq!(pelican_ml::Classifier::predict(&clf, &x), before);
+        clf.fit(&x, &[0, 1, 0, 1]);
     }
 
     #[test]

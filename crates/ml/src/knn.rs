@@ -21,7 +21,7 @@ impl Default for KnnConfig {
 ///
 /// A standard NIDS baseline in the literature surrounding the paper
 /// (e.g. the triangle-area nearest-neighbour detector the paper cites as
-/// [33]); provided for the extended comparison bench.
+/// \[33\]); provided for the extended comparison bench.
 ///
 /// ```
 /// use pelican_ml::{Classifier, Knn, KnnConfig};

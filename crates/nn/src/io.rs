@@ -34,7 +34,6 @@
 //! trajectories still reproduce exactly across a save/resume boundary.
 
 use crate::Layer;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use pelican_tensor::Tensor;
 use std::error::Error;
 use std::fmt;
@@ -107,42 +106,62 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-fn put_tensor_data(buf: &mut BytesMut, t: &Tensor) {
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_tensor_data(buf: &mut Vec<u8>, t: &Tensor) {
     for &v in t.as_slice() {
-        buf.put_f32_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
+}
+
+/// Takes the next 4 bytes off the front of `buf`. Callers check
+/// `buf.len()` first, so that a short buffer is an [`IoError`], not a
+/// panic.
+fn take4(buf: &mut &[u8]) -> [u8; 4] {
+    let (head, rest) = buf.split_first_chunk::<4>().expect("length checked");
+    *buf = rest;
+    *head
+}
+
+fn get_u32(buf: &mut &[u8]) -> u32 {
+    u32::from_le_bytes(take4(buf))
+}
+
+fn get_f32(buf: &mut &[u8]) -> f32 {
+    f32::from_le_bytes(take4(buf))
 }
 
 /// Serialises a model's parameters, optimizer state and `meta` to v2
 /// bytes.
-pub fn checkpoint_to_bytes(model: &mut dyn Layer, meta: CheckpointMeta) -> Bytes {
+pub fn checkpoint_to_bytes(model: &mut dyn Layer, meta: CheckpointMeta) -> Vec<u8> {
     let params = model.params_mut();
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(V2);
-    buf.put_u32_le(meta.epoch as u32);
-    buf.put_f32_le(meta.learning_rate);
-    buf.put_u32_le(params.len() as u32);
+    let mut buf = MAGIC.to_vec();
+    put_u32(&mut buf, V2);
+    put_u32(&mut buf, meta.epoch as u32);
+    buf.extend_from_slice(&meta.learning_rate.to_le_bytes());
+    put_u32(&mut buf, params.len() as u32);
     for p in params {
         let shape = p.value.shape();
-        buf.put_u32_le(shape.len() as u32);
+        put_u32(&mut buf, shape.len() as u32);
         for &d in shape {
-            buf.put_u32_le(d as u32);
+            put_u32(&mut buf, d as u32);
         }
         put_tensor_data(&mut buf, &p.value);
-        buf.put_u32_le(p.state.len() as u32);
+        put_u32(&mut buf, p.state.len() as u32);
         for s in &p.state {
             put_tensor_data(&mut buf, s);
         }
     }
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
+    put_u32(&mut buf, crc);
+    buf
 }
 
 /// Serialises a model's parameters to bytes (v2, epoch 0 — use
 /// [`checkpoint_to_bytes`] to record training progress).
-pub fn params_to_bytes(model: &mut dyn Layer) -> Bytes {
+pub fn params_to_bytes(model: &mut dyn Layer) -> Vec<u8> {
     checkpoint_to_bytes(
         model,
         CheckpointMeta {
@@ -159,14 +178,13 @@ struct ParsedParam {
 }
 
 fn read_exact_f32(buf: &mut &[u8], shape: &[usize], what: &str) -> Result<Tensor, IoError> {
-    let len: usize = shape.iter().product();
-    if buf.remaining() < len * 4 {
+    // Checked, so a crafted shape whose byte size overflows `usize` reads
+    // as truncated data instead of panicking or wrapping to a small size.
+    let n_bytes = shape.iter().try_fold(4usize, |n, &d| n.checked_mul(d));
+    let Some(n_bytes) = n_bytes.filter(|&n| n <= buf.len()) else {
         return Err(IoError::Format(format!("truncated data of {what}")));
-    }
-    let mut data = Vec::with_capacity(len);
-    for _ in 0..len {
-        data.push(buf.get_f32_le());
-    }
+    };
+    let data: Vec<f32> = (0..n_bytes / 4).map(|_| get_f32(buf)).collect();
     if data.iter().any(|v| !v.is_finite()) {
         return Err(IoError::Format(format!("non-finite value in {what}")));
     }
@@ -175,31 +193,30 @@ fn read_exact_f32(buf: &mut &[u8], shape: &[usize], what: &str) -> Result<Tensor
 }
 
 fn read_shape(buf: &mut &[u8], what: &str) -> Result<Vec<usize>, IoError> {
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(IoError::Format(format!("truncated at {what}")));
     }
-    let rank = buf.get_u32_le() as usize;
+    let rank = get_u32(buf) as usize;
     if rank > 8 {
         return Err(IoError::Format(format!(
             "implausible rank {rank} for {what}"
         )));
     }
-    if buf.remaining() < rank * 4 {
+    if buf.len() < rank * 4 {
         return Err(IoError::Format(format!("truncated shape of {what}")));
     }
-    Ok((0..rank).map(|_| buf.get_u32_le() as usize).collect())
+    Ok((0..rank).map(|_| get_u32(buf) as usize).collect())
 }
 
 /// Parses the whole payload into memory without touching any model; the
 /// version field selects whether meta + optimizer state + CRC are
 /// expected.
 fn parse(data: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoError> {
-    let mut buf = data;
-    if buf.remaining() < 12 || &buf[..4] != MAGIC {
+    if data.len() < 12 || &data[..4] != MAGIC {
         return Err(IoError::Format("missing PLCN magic".into()));
     }
-    buf.advance(4);
-    let version = buf.get_u32_le();
+    let mut buf = &data[4..];
+    let version = get_u32(&mut buf);
     match version {
         V1 => parse_v1(buf),
         V2 => {
@@ -208,7 +225,7 @@ fn parse(data: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoError> {
                 return Err(IoError::Format("v2 payload too short for CRC".into()));
             }
             let body = &data[..data.len() - 4];
-            let stored = (&data[data.len() - 4..]).get_u32_le();
+            let stored = get_u32(&mut &data[data.len() - 4..]);
             let actual = crc32(body);
             if stored != actual {
                 return Err(IoError::Format(format!(
@@ -223,10 +240,10 @@ fn parse(data: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoError> {
 }
 
 fn parse_v1(mut buf: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoError> {
-    if buf.remaining() < 4 {
+    if buf.len() < 4 {
         return Err(IoError::Format("truncated v1 header".into()));
     }
-    let count = buf.get_u32_le() as usize;
+    let count = get_u32(&mut buf) as usize;
     let mut params = Vec::with_capacity(count);
     for i in 0..count {
         let shape = read_shape(&mut buf, &format!("parameter {i}"))?;
@@ -236,10 +253,10 @@ fn parse_v1(mut buf: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoErro
             state: Vec::new(),
         });
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(IoError::Format(format!(
             "{} trailing bytes after last parameter",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok((
@@ -252,25 +269,25 @@ fn parse_v1(mut buf: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoErro
 }
 
 fn parse_v2(mut buf: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoError> {
-    if buf.remaining() < 12 {
+    if buf.len() < 12 {
         return Err(IoError::Format("truncated v2 header".into()));
     }
-    let epoch = buf.get_u32_le() as usize;
-    let learning_rate = buf.get_f32_le();
+    let epoch = get_u32(&mut buf) as usize;
+    let learning_rate = get_f32(&mut buf);
     if !learning_rate.is_finite() {
         return Err(IoError::Format("non-finite learning rate".into()));
     }
-    let count = buf.get_u32_le() as usize;
+    let count = get_u32(&mut buf) as usize;
     let mut params = Vec::with_capacity(count);
     for i in 0..count {
         let shape = read_shape(&mut buf, &format!("parameter {i}"))?;
         let value = read_exact_f32(&mut buf, &shape, &format!("parameter {i}"))?;
-        if buf.remaining() < 4 {
+        if buf.len() < 4 {
             return Err(IoError::Format(format!(
                 "truncated state count of parameter {i}"
             )));
         }
-        let n_state = buf.get_u32_le() as usize;
+        let n_state = get_u32(&mut buf) as usize;
         if n_state > 4 {
             return Err(IoError::Format(format!(
                 "implausible state count {n_state} for parameter {i}"
@@ -286,10 +303,10 @@ fn parse_v2(mut buf: &[u8]) -> Result<(CheckpointMeta, Vec<ParsedParam>), IoErro
         }
         params.push(ParsedParam { value, state });
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(IoError::Format(format!(
             "{} trailing bytes after last parameter",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok((
@@ -525,13 +542,13 @@ mod tests {
             params_from_bytes(&mut m, b"nope"),
             Err(IoError::Format(_))
         ));
-        let mut bytes = params_to_bytes(&mut m).to_vec();
+        let mut bytes = params_to_bytes(&mut m);
         bytes.truncate(bytes.len() - 3);
         assert!(matches!(
             params_from_bytes(&mut m, &bytes),
             Err(IoError::Format(_))
         ));
-        let mut extended = params_to_bytes(&mut m).to_vec();
+        let mut extended = params_to_bytes(&mut m);
         extended.extend_from_slice(&[0; 8]);
         assert!(matches!(
             params_from_bytes(&mut m, &extended),
@@ -548,8 +565,7 @@ mod tests {
                 epoch: 3,
                 learning_rate: 0.01,
             },
-        )
-        .to_vec();
+        );
         // Flip one payload bit (inside the first parameter's data).
         bytes[20] ^= 0x10;
         let mut b = net(6);
@@ -578,30 +594,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn legacy_v1_files_still_load() {
-        // Hand-build a v1 payload for the 2-layer net.
-        let mut a = net(9);
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(V1);
-        let params = a.params_mut();
-        buf.put_u32_le(params.len() as u32);
+    /// Hand-builds a v1 payload for `model`.
+    fn v1_bytes(model: &mut Sequential) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        put_u32(&mut buf, V1);
+        let params = model.params_mut();
+        put_u32(&mut buf, params.len() as u32);
         for p in params {
             let shape = p.value.shape();
-            buf.put_u32_le(shape.len() as u32);
+            put_u32(&mut buf, shape.len() as u32);
             for &d in shape {
-                buf.put_u32_le(d as u32);
+                put_u32(&mut buf, d as u32);
             }
-            for &v in p.value.as_slice() {
-                buf.put_f32_le(v);
-            }
+            put_tensor_data(&mut buf, &p.value);
         }
+        buf
+    }
+
+    #[test]
+    fn legacy_v1_files_still_load() {
+        let mut a = net(9);
+        let bytes = v1_bytes(&mut a);
         let mut b = net(10);
-        let meta = checkpoint_from_bytes(&mut b, &buf.freeze()).expect("v1 load");
+        let meta = checkpoint_from_bytes(&mut b, &bytes).expect("v1 load");
         assert_eq!(meta.epoch, 0);
         let x = Tensor::ones(vec![1, 3]);
         assert_eq!(a.forward(&x, Mode::Eval), b.forward(&x, Mode::Eval));
+    }
+
+    /// Loads `data` into `model`, expecting a format error; returns the
+    /// message with any digits dropped, so one message per truncation
+    /// site remains.
+    fn format_error_kind(model: &mut Sequential, data: &[u8], label: &str) -> String {
+        match checkpoint_from_bytes(model, data) {
+            Err(IoError::Format(m)) => m.chars().filter(|c| !c.is_ascii_digit()).collect(),
+            other => panic!("{label}: expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_is_rejected_without_side_effects() {
+        let mut a = net(16);
+        step_once(&mut a); // so the v2 body carries optimizer state slots
+        let v1 = v1_bytes(&mut a);
+        let v2 = checkpoint_to_bytes(
+            &mut a,
+            CheckpointMeta {
+                epoch: 4,
+                learning_rate: 0.01,
+            },
+        );
+        let mut b = net(17);
+        let before = params_to_bytes(&mut b);
+
+        let mut v1_kinds = std::collections::BTreeSet::new();
+        for cut in 0..v1.len() {
+            v1_kinds.insert(format_error_kind(
+                &mut b,
+                &v1[..cut],
+                &format!("v1 cut {cut}"),
+            ));
+        }
+        // Each v2 prefix gets a fresh, valid CRC, so the parser itself
+        // (not the integrity check) meets the truncation.
+        let body = &v2[..v2.len() - 4];
+        let mut v2_kinds = std::collections::BTreeSet::new();
+        for cut in 0..body.len() {
+            let mut data = body[..cut].to_vec();
+            let crc = crc32(&data);
+            put_u32(&mut data, crc);
+            v2_kinds.insert(format_error_kind(&mut b, &data, &format!("v2 cut {cut}")));
+        }
+        assert_eq!(params_to_bytes(&mut b), before, "model was modified");
+
+        for kind in [
+            "truncated at parameter ",
+            "truncated shape of parameter ",
+            "truncated data of parameter ",
+        ] {
+            assert!(
+                v1_kinds.contains(kind),
+                "v1 never hit {kind:?}: {v1_kinds:?}"
+            );
+            assert!(
+                v2_kinds.contains(kind),
+                "v2 never hit {kind:?}: {v2_kinds:?}"
+            );
+        }
+        for kind in [
+            "truncated v header",
+            "truncated state count of parameter ",
+            "truncated data of state  of parameter ",
+        ] {
+            assert!(
+                v2_kinds.contains(kind),
+                "v2 never hit {kind:?}: {v2_kinds:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_shape_is_rejected() {
+        // One rank-4 parameter of 2^16 per dimension: 2^64 elements, which
+        // wraps to 0 in unchecked `usize` arithmetic.
+        let mut data = MAGIC.to_vec();
+        for v in [V1, 1, 4, 1 << 16, 1 << 16, 1 << 16, 1 << 16] {
+            put_u32(&mut data, v);
+        }
+        let mut m = net(18);
+        let err = checkpoint_from_bytes(&mut m, &data).unwrap_err();
+        assert!(err.to_string().contains("truncated data"), "{err}");
     }
 
     #[test]

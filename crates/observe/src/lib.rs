@@ -4,7 +4,7 @@
 //! The subsystem is built around one trait, [`Recorder`], with two
 //! implementations: [`NoopRecorder`] — the default, whose methods are
 //! empty so every instrumentation site reduces to one relaxed atomic
-//! load — and [`InMemoryRecorder`], a `parking_lot`-guarded
+//! load — and [`InMemoryRecorder`], a mutex-guarded
 //! [`Snapshot`] that accumulates:
 //!
 //! - **hierarchical spans** — [`span`] returns a scoped guard; nested
@@ -60,10 +60,8 @@ pub use snapshot::{
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 /// Count of *enabled* ambient recorders installed anywhere in the
 /// process (the global counts once, plus one per live thread-local
@@ -95,9 +93,12 @@ pub fn enabled() -> bool {
 /// present, else the process global (a no-op until
 /// [`install_global`] replaces it).
 pub fn current() -> Arc<dyn Recorder> {
-    CURRENT
-        .with(|c| c.borrow().clone())
-        .unwrap_or_else(|| global_cell().read().clone())
+    CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
+        global_cell()
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    })
 }
 
 /// The thread-local override, if any — what `Pool` captures on the
@@ -110,7 +111,9 @@ pub fn current_override() -> Option<Arc<dyn Recorder>> {
 /// Installs `rec` as the process-wide default recorder, returning the
 /// previous one. Thread-local overrides still win where installed.
 pub fn install_global(rec: Arc<dyn Recorder>) -> Arc<dyn Recorder> {
-    let mut slot = global_cell().write();
+    let mut slot = global_cell()
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
     if rec.is_enabled() {
         ENABLED.fetch_add(1, Ordering::Relaxed);
     }

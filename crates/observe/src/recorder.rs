@@ -1,14 +1,13 @@
 //! The [`Recorder`] trait and its two implementations: the default
 //! [`NoopRecorder`] (every method an empty body, so a disabled build
 //! optimises instrumentation to a single relaxed atomic load at each
-//! call site) and the [`InMemoryRecorder`] (a `parking_lot`-guarded
+//! call site) and the [`InMemoryRecorder`] (a mutex-guarded
 //! [`Snapshot`] plus a ring-buffered event journal).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::snapshot::{EventRecord, FieldValue, Snapshot};
 
@@ -89,7 +88,7 @@ struct Inner {
 }
 
 /// A recorder that accumulates into a [`Snapshot`] behind a
-/// `parking_lot::Mutex`, with a bounded ring buffer for the journal.
+/// `Mutex`, with a bounded ring buffer for the journal.
 pub struct InMemoryRecorder {
     inner: Mutex<Inner>,
     /// Current logical tick; `TICK_UNSET` until the first `set_tick`.
@@ -125,6 +124,12 @@ impl InMemoryRecorder {
         }
     }
 
+    /// Locks the state, recovering a poisoned lock: a panic on one
+    /// recording thread must not turn every later call into a panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn stamp(&self) -> u64 {
         let tick = self.tick.load(Ordering::Relaxed);
         if tick != TICK_UNSET {
@@ -138,18 +143,12 @@ impl InMemoryRecorder {
 
     /// Convenience: current value of a counter (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .snap
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
+        self.lock().snap.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Convenience: current state of a gauge.
     pub fn gauge(&self, name: &str) -> Option<crate::snapshot::Gauge> {
-        self.inner.lock().snap.gauges.get(name).copied()
+        self.lock().snap.gauges.get(name).copied()
     }
 
     /// Exports the current state as JSON Lines (see
@@ -164,7 +163,7 @@ impl InMemoryRecorder {
     }
 
     fn snapshot_inner(&self) -> Snapshot {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let mut snap = inner.snap.clone();
         snap.events.extend(inner.journal.iter().cloned());
         snap.dropped_events += inner.dropped_events;
@@ -178,20 +177,20 @@ impl Recorder for InMemoryRecorder {
     }
 
     fn counter_add(&self, name: &'static str, delta: u64) {
-        self.inner.lock().snap.counter_add(name, delta);
+        self.lock().snap.counter_add(name, delta);
     }
 
     fn gauge_set(&self, name: &'static str, value: f64) {
         let stamp = self.stamp();
-        self.inner.lock().snap.gauge_set(name, value, stamp);
+        self.lock().snap.gauge_set(name, value, stamp);
     }
 
     fn histogram_record(&self, name: &'static str, value: u64) {
-        self.inner.lock().snap.histogram_record(name, value);
+        self.lock().snap.histogram_record(name, value);
     }
 
     fn span_record(&self, path: &str, nanos: u64) {
-        self.inner.lock().snap.span_record(path, nanos);
+        self.lock().snap.span_record(path, nanos);
     }
 
     fn event(&self, name: &'static str, fields: &[(&'static str, FieldValue)]) {
@@ -203,7 +202,7 @@ impl Recorder for InMemoryRecorder {
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
         };
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.journal.len() == inner.journal_capacity {
             inner.journal.pop_front();
             inner.dropped_events += 1;
@@ -220,7 +219,7 @@ impl Recorder for InMemoryRecorder {
     }
 
     fn absorb(&self, snap: Snapshot) {
-        self.inner.lock().snap.merge(&snap);
+        self.lock().snap.merge(&snap);
     }
 }
 
@@ -263,6 +262,19 @@ mod tests {
         a.absorb(b.snapshot().unwrap());
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.snapshot().unwrap().histograms["h"].count, 1);
+    }
+
+    #[test]
+    fn poisoned_lock_is_recovered() {
+        let rec = InMemoryRecorder::new();
+        rec.counter_add("c", 1);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = rec.inner.lock().unwrap();
+            panic!("panic while holding the recorder lock");
+        }));
+        assert!(panicked.is_err() && rec.inner.is_poisoned());
+        rec.counter_add("c", 2);
+        assert_eq!(rec.counter("c"), 3);
     }
 
     #[test]

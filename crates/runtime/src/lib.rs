@@ -46,7 +46,7 @@ pub use queue::{BoundedQueue, OverflowPolicy, PushOutcome};
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use pelican_observe as observe;
 
@@ -228,7 +228,7 @@ impl Pool {
         );
         let recorder = observe::current_override();
         let next = AtomicUsize::new(0);
-        let done = parking_lot::Mutex::new(Vec::with_capacity(tasks));
+        let done = Mutex::new(Vec::with_capacity(tasks));
         let work = |_job: usize| {
             let _obs = recorder.clone().map(observe::ScopedRecorder::install);
             let mut local: Vec<(usize, T)> = Vec::new();
@@ -240,10 +240,12 @@ impl Pool {
                 local.push((i, f(i)));
             }
             observe::histogram("pool.worker_tasks", local.len() as u64);
-            done.lock().append(&mut local);
+            done.lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(&mut local);
         };
         shared::run_jobs(workers, &work, "pool worker panicked");
-        let mut pairs = done.into_inner();
+        let mut pairs = done.into_inner().unwrap_or_else(PoisonError::into_inner);
         pairs.sort_unstable_by_key(|(i, _)| *i);
         debug_assert_eq!(pairs.len(), tasks);
         pairs.into_iter().map(|(_, v)| v).collect()
@@ -270,9 +272,9 @@ impl Pool {
         let recorder = observe::current_override();
         // Hand each chunk to exactly one claimer; chunk layout depends only
         // on the data length and chunk size, never on the worker count.
-        let chunks: Vec<parking_lot::Mutex<Option<&mut [T]>>> = data
+        let chunks: Vec<Mutex<Option<&mut [T]>>> = data
             .chunks_mut(chunk_len)
-            .map(|c| parking_lot::Mutex::new(Some(c)))
+            .map(|c| Mutex::new(Some(c)))
             .collect();
         let nchunks = chunks.len();
         let next = AtomicUsize::new(0);
@@ -283,7 +285,11 @@ impl Pool {
                 if i >= nchunks {
                     break;
                 }
-                let chunk = chunks[i].lock().take().expect("chunk claimed twice");
+                let chunk = chunks[i]
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take()
+                    .expect("chunk claimed twice");
                 f(i, chunk);
             }
         };

@@ -24,7 +24,7 @@
 //!   bounded ingest queue with explicit [`ShedPolicy`] backpressure /
 //!   load-shedding, per-window virtual-clock deadlines, a
 //!   [`CircuitBreaker`] around the primary, and a
-//!   [`PipelineHealth`](pelican_core::PipelineHealth) counter surface —
+//!   [`PipelineHealth`] counter surface —
 //!   with [`ChaosSchedule`] as the matching seeded fault source (stalls,
 //!   error bursts, hard-down periods).
 //!

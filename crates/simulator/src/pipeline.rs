@@ -27,13 +27,12 @@
 //! arithmetic over the virtual clock — bit-reproducible by construction.
 
 use crate::detector::Detector;
-use crate::resilient::verdict_is_valid;
+use crate::resilient::guarded_classify;
 use crate::traffic::Flow;
 use pelican_core::PipelineHealth;
 use pelican_observe as observe;
 use pelican_runtime::{BoundedQueue, Deadline, OverflowPolicy, PushOutcome, VirtualClock};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How ingest resolves a full queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,27 +427,17 @@ impl<P: Detector, F: Detector> StreamingPipeline<P, F> {
             if self.breaker.probing() {
                 self.health.breaker_probes += 1;
             }
-            let primary = &mut self.primary;
-            let verdict = if cfg.resilience.catch_panics {
-                catch_unwind(AssertUnwindSafe(|| primary.classify(&flows))).ok()
-            } else {
-                Some(primary.classify(&flows))
-            };
+            preds = guarded_classify(&mut self.primary, &flows, cfg.resilience.class_bound);
             let stall = self.primary.take_stall_ticks();
             cost = primary_cost.saturating_add(stall);
-            let structurally_ok = matches!(
-                &verdict,
-                Some(p) if verdict_is_valid(p, n, cfg.resilience.class_bound)
-            );
             // A verdict that arrives after the deadline is a failure even
             // when its contents are valid: persistent stalls must open
             // the breaker just like persistent corruption.
             let on_time = !window.deadline.would_miss(start, cost);
-            self.breaker.record(start, structurally_ok && on_time);
+            self.breaker.record(start, preds.is_some() && on_time);
             self.health.breaker_opens = self.breaker.opens();
-            if structurally_ok {
+            if preds.is_some() {
                 served_by = ServedBy::Primary;
-                preds = verdict;
             } else {
                 self.health.primary_faults += 1;
             }

@@ -47,9 +47,6 @@ pub struct ResilienceConfig {
     /// protection for a model with a fixed inference budget. `0` routes
     /// every non-empty window to the fallback.
     pub flow_budget: usize,
-    /// Catch panics from the primary (a poisoned network deep in a
-    /// tensor op) and degrade instead of unwinding through the simulator.
-    pub catch_panics: bool,
 }
 
 impl Default for ResilienceConfig {
@@ -57,18 +54,25 @@ impl Default for ResilienceConfig {
         Self {
             class_bound: 64,
             flow_budget: 10_000,
-            catch_panics: true,
         }
     }
 }
 
-/// The structural validity check shared by [`ResilientDetector`] and the
-/// streaming pipeline: a verdict is accepted only if it has exactly one
-/// class per flow and every class is `< class_bound`. An empty verdict
-/// over an empty window is valid (vacuously — there is nothing to get
-/// wrong).
-pub(crate) fn verdict_is_valid(preds: &[usize], window_len: usize, class_bound: usize) -> bool {
-    preds.len() == window_len && preds.iter().all(|&c| c < class_bound)
+/// The guarded primary call shared by [`ResilientDetector`] and the
+/// streaming pipeline. A panic from `primary` (a poisoned network deep
+/// in a tensor op) is contained rather than unwinding through the
+/// simulator. The verdict is returned only if it has exactly one class
+/// per flow and every class is `< class_bound`; an empty verdict over an
+/// empty window is valid (vacuously — there is nothing to get wrong).
+/// `None` means the window must degrade.
+pub(crate) fn guarded_classify<D: Detector>(
+    primary: &mut D,
+    window: &[Flow],
+    class_bound: usize,
+) -> Option<Vec<usize>> {
+    let preds = catch_unwind(AssertUnwindSafe(|| primary.classify(window))).ok()?;
+    let valid = preds.len() == window.len() && preds.iter().all(|&c| c < class_bound);
+    valid.then_some(preds)
 }
 
 /// Wraps a primary [`Detector`] with validation and a fallback.
@@ -114,16 +118,9 @@ impl<P: Detector, F: Detector> Detector for ResilientDetector<P, F> {
             self.degraded += 1;
             return self.fallback.classify(window);
         }
-        let primary = &mut self.primary;
-        let verdict = if self.config.catch_panics {
-            catch_unwind(AssertUnwindSafe(|| primary.classify(window))).ok()
-        } else {
-            Some(primary.classify(window))
-        };
-        let bound = self.config.class_bound;
-        match verdict {
-            Some(preds) if verdict_is_valid(&preds, window.len(), bound) => preds,
-            _ => {
+        match guarded_classify(&mut self.primary, window, self.config.class_bound) {
+            Some(preds) => preds,
+            None => {
                 self.degraded += 1;
                 self.fallback.classify(window)
             }

@@ -128,23 +128,22 @@ proptest! {
     /// without ever invoking the primary.
     #[test]
     fn zero_flow_budget_never_invokes_primary(len in 1usize..25, seed in 0u64..50) {
-        struct MustNotRun;
-        impl Detector for MustNotRun {
-            fn classify(&mut self, _: &[Flow]) -> Vec<usize> {
-                panic!("primary must not be invoked with a zero flow budget")
+        /// Counts its invocations; a contained panic would go unseen.
+        struct CountingPrimary(usize);
+        impl Detector for CountingPrimary {
+            fn classify(&mut self, window: &[Flow]) -> Vec<usize> {
+                self.0 += 1;
+                vec![0; window.len()]
             }
-            fn name(&self) -> &'static str { "must-not-run" }
+            fn name(&self) -> &'static str { "counting" }
         }
         let window = TrafficStream::nslkdd(0.0, seed).next_window(len);
-        let config = ResilienceConfig {
-            flow_budget: 0,
-            catch_panics: false, // a primary invocation would abort the test
-            ..Default::default()
-        };
-        let mut det = ResilientDetector::new(MustNotRun, AllNormalFallback, config);
+        let config = ResilienceConfig { flow_budget: 0, ..Default::default() };
+        let mut det = ResilientDetector::new(CountingPrimary(0), AllNormalFallback, config);
         let preds = det.classify(&window);
         prop_assert_eq!(preds.len(), window.len());
         prop_assert_eq!(det.degraded(), 1);
+        prop_assert_eq!(det.primary().0, 0, "primary invoked");
     }
 
     /// Traffic windows always deliver at least the background count and

@@ -158,7 +158,8 @@ impl Tensor {
     ///
     /// # Panics
     ///
-    /// Panics if the index is out of bounds (see [`Tensor::offset`]).
+    /// Panics if `index` has the wrong rank or any coordinate is out of
+    /// bounds.
     pub fn get(&self, index: &[usize]) -> f32 {
         self.data[self.offset(index)]
     }

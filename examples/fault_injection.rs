@@ -89,8 +89,7 @@ fn main() {
             epoch: 4,
             learning_rate: 0.01,
         },
-    )
-    .to_vec();
+    );
     println!(
         "   v2 checkpoint: {} bytes (params + optimizer state + CRC-32)",
         bytes.len()

@@ -9,9 +9,9 @@
 # results, and the pipeline chaos and observability tests re-run
 # explicitly at both counts (they assert bit-identical SimReports and
 # bit-identical JSONL exports). Formatting and rustdoc are gated
-# alongside clippy. Set PELICAN_BENCH=1 to also run the parallel-scaling
-# and observability-overhead benches (write BENCH_parallel.json and
-# BENCH_observe.json at the repo root).
+# alongside clippy. Set PELICAN_BENCH=1 to also run the
+# observability-overhead and kernel benches (write BENCH_observe.json and
+# BENCH_kernels.json at the repo root).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,7 +33,6 @@ PELICAN_THREADS=4 cargo test -q --test kernel_equivalence
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 if [[ "${PELICAN_BENCH:-0}" == "1" ]]; then
-    cargo bench -p pelican-bench --bench bench_parallel_scaling
     cargo bench -p pelican-bench --bench bench_observe
     cargo bench -p pelican-bench --bench bench_kernels
 fi

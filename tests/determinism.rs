@@ -109,7 +109,7 @@ fn short_training_run(threads: usize) -> (Vec<pelican::nn::EpochStats>, Vec<u8>)
             Some((&split.x_test, &split.y_test)),
         )
         .expect("training");
-    (history.epochs, params_to_bytes(&mut net).to_vec())
+    (history.epochs, params_to_bytes(&mut net))
 }
 
 #[test]

@@ -234,7 +234,7 @@ fn training_is_unchanged_by_observation() {
             Some((&split.x_test, &split.y_test)),
         )
         .expect("training");
-        (history, params_to_bytes(&mut net).to_vec())
+        (history, params_to_bytes(&mut net))
     };
 
     let (plain_hist, plain_params) = run();

@@ -191,8 +191,8 @@ fn kill_and_resume_reproduces_uninterrupted_parameters() {
     assert_eq!(history.resumed_from_epoch, Some(3));
     assert_eq!(history.epochs.len(), 3, "only epochs 4..=6 re-ran");
     assert_eq!(
-        io::params_to_bytes(&mut full).as_ref(),
-        io::params_to_bytes(&mut resumed).as_ref(),
+        io::params_to_bytes(&mut full),
+        io::params_to_bytes(&mut resumed),
         "resumed parameters must match the uninterrupted run bit-for-bit"
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -270,7 +270,7 @@ proptest! {
             "truncation to {cut}/{} bytes must fail", bytes.len()
         );
 
-        let mut flipped = bytes.to_vec();
+        let mut flipped = bytes.clone();
         let pos = ((bytes.len() as f32 * flip_frac) as usize).min(bytes.len() - 1);
         flipped[pos] ^= 1 << bit;
         prop_assert!(
@@ -280,8 +280,8 @@ proptest! {
 
         let after = io::params_to_bytes(&mut target);
         prop_assert_eq!(
-            after.as_ref(),
-            baseline.as_ref(),
+            after,
+            baseline,
             "failed loads must not half-write the model"
         );
     }
