@@ -27,13 +27,13 @@ use pelican_runtime::with_workers;
 use std::sync::Arc;
 use std::time::Instant;
 
-const REPS: usize = 9;
+const REPS: usize = 15;
 
 fn workload_config() -> ExpConfig {
     ExpConfig {
         dataset: DatasetKind::NslKdd,
         samples: 1000,
-        epochs: 2,
+        epochs: 16,
         batch_size: 64,
         learning_rate: 0.01,
         kernel: 10,

@@ -38,7 +38,8 @@ pub enum Corruption {
 }
 
 impl Corruption {
-    fn value(self) -> f32 {
+    /// The value written into a poisoned element.
+    pub fn value(self) -> f32 {
         match self {
             Corruption::Nan => f32::NAN,
             Corruption::PosInf => f32::INFINITY,

@@ -17,9 +17,9 @@ pub enum Mode {
 
 /// A differentiable network building block.
 ///
-/// Layers are stateful: `forward` caches whatever its `backward` needs, so a
-/// `backward` call must always follow the `forward` call whose gradient it
-/// propagates. [`Sequential`](crate::Sequential) and
+/// Layers are stateful: a [`Mode::Train`] `forward` caches whatever its
+/// `backward` needs, so a `backward` call must always follow the Train
+/// `forward` call whose gradient it propagates. [`Sequential`](crate::Sequential) and
 /// [`Residual`](crate::Residual) compose layers while preserving this
 /// contract.
 pub trait Layer: Send {
@@ -44,7 +44,10 @@ pub trait Layer: Send {
     /// # Panics
     ///
     /// Panics if called before `forward`, or if `grad_out` does not match
-    /// the last output's shape.
+    /// the last output's shape. A [`Mode::Eval`] forward need not keep
+    /// what `backward` needs: [`Gru`](crate::Gru) keeps nothing and drops
+    /// any cache of an earlier [`Mode::Train`] forward, so its `backward`
+    /// after an Eval forward panics with "backward before forward".
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Mutable access to the trainable parameters, outermost first.

@@ -290,15 +290,17 @@ impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
-        pelican_observe::counter_add("tensor.conv_calls", 1);
-        pelican_observe::counter_add(
-            "tensor.conv_flops",
-            2 * (b * t * self.kernel * self.in_channels * self.out_channels) as u64,
-        );
         let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
         self.ensure_spans(t);
         self.fill_col(rank3.as_slice(), b, t);
         let kke = self.col_width();
+        // The executed live-tap GEMM, not the nominal `kernel` taps: this
+        // is the conv share of `tensor.matmul_flops`, not an addition.
+        pelican_observe::counter_add("tensor.conv_calls", 1);
+        pelican_observe::counter_add(
+            "tensor.conv_flops",
+            2 * (b * t * kke * self.out_channels) as u64,
+        );
         let wt_len = self.out_channels * kke;
         let mut wt = std::mem::take(&mut self.cache.wt);
         if wt.len() != wt_len {
@@ -466,6 +468,23 @@ mod tests {
         for (a, e) in y.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - e).abs() < 1e-5);
         }
+    }
+
+    /// `tensor.conv_flops` counts the executed live-tap GEMM (one of ten
+    /// taps at sequence length 1), which is the forward's whole
+    /// `tensor.matmul_flops`.
+    #[test]
+    fn conv_flops_count_executed_live_taps() {
+        let rec = std::sync::Arc::new(pelican_observe::InMemoryRecorder::new());
+        let mut conv = Conv1d::new(4, 3, 10, &mut SeededRng::new(2));
+        pelican_observe::with_recorder(rec.clone(), || {
+            conv.forward(&Tensor::ones(vec![2, 1, 4]), Mode::Eval);
+        });
+        assert_eq!(rec.counter("tensor.conv_flops"), 2 * (2 * 4 * 3));
+        assert_eq!(
+            rec.counter("tensor.conv_flops"),
+            rec.counter("tensor.matmul_flops")
+        );
     }
 
     #[test]

@@ -36,6 +36,21 @@ use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 /// kernel (`seg = units`), which reproduces the old
 /// product-assign-then-add chain exactly (see [`pelican_tensor::pack`]).
 ///
+/// # Sequence length 1
+///
+/// The paper feeds every GRU one time step, so the only hidden state it
+/// sees is h₀ = 0. There every recurrent product is `+0.0` and the reset
+/// gate is dead (`r ⊙ h₀ = 0`), so the step computes only the live work:
+/// one `[b, 2·units]` GEMM over `[Wz | Wh]` forward; backward, `dx` as a
+/// two-segment `[dz | dh̃]·[Wz | Wh]ᵀ` product and `dW` as `xᵀ·[dz | dh̃]`.
+/// Each skip is taken only when it is provably exact — all operands it
+/// drops are finite and bounded so that `r` and `da = dh̃·Uhᵀ` stay finite
+/// — and the products are computed otherwise, so NaN and ±Inf propagate
+/// exactly as in the reference. The forward's packed `[Wz | Wh]` panel
+/// and the weight half of its guard are rebuilt only after
+/// [`Layer::params_mut`] (the one way to reach a `&mut Param`), and a
+/// [`Mode::Eval`] forward keeps no backward cache.
+///
 /// ```
 /// use pelican_nn::{Gru, Layer, Mode};
 /// use pelican_tensor::{SeededRng, Tensor};
@@ -61,9 +76,25 @@ pub struct Gru {
     bh: Param,
     in_channels: usize,
     units: usize,
-    cache: Option<Vec<StepCache>>,
+    cache: Option<GruCache>,
     input_shape: Option<Vec<usize>>,
     scratch: GruScratch,
+    seq1: Seq1Panel,
+}
+
+/// What `backward` needs from the last [`Mode::Train`] forward.
+#[derive(Debug)]
+enum GruCache {
+    /// The general fused step, one entry per time step.
+    Steps(Vec<StepCache>),
+    /// The sequence-length-1 step from h₀ = 0: the reset gate and the
+    /// recurrent products were skipped, so only these survive.
+    Seq1 {
+        x: Tensor,
+        z: Vec<f32>,
+        hh: Vec<f32>,
+        z_pre: Vec<f32>,
+    },
 }
 
 #[derive(Debug)]
@@ -89,8 +120,23 @@ struct GruScratch {
     /// `Uhᵀ`: `[units, units]` panel layout.
     uh_t: Vec<f32>,
     /// `[Wz | Wr | Wh]` column-concatenated: `[in, 3·units]` — the panel
-    /// layout of the backward `dx` product's transposed weight.
+    /// layout of the backward `dx` product's transposed weight
+    /// (`[Wz | Wh]` in the sequence-length-1 step).
     w_cat: Vec<f32>,
+}
+
+/// The sequence-length-1 forward's weight-derived state. Unlike
+/// [`GruScratch`] it caches *values*, so a served model packs and scans
+/// its weights once: [`Layer::params_mut`], the one way to reach a
+/// `&mut Param`, marks it stale.
+#[derive(Debug, Default)]
+struct Seq1Panel {
+    fresh: bool,
+    /// `[Wzᵀ; Whᵀ]` stacked: `[2·units, in]` panel layout.
+    w_zh_t: Vec<f32>,
+    /// `max|Wr|` when `Uz`, `Ur`, `Uh`, `Wr` and `br` are all finite: the
+    /// weight half of the forward guard.
+    wr_max: Option<f32>,
 }
 
 fn fit(buf: &mut Vec<f32>, len: usize) {
@@ -98,6 +144,60 @@ fn fit(buf: &mut Vec<f32>, len: usize) {
         buf.clear();
         buf.resize(len, 0.0);
     }
+}
+
+/// Writes `[p₀ | p₁ | …]` row by row: each part is `[rows, u]`, `out` is
+/// `[rows, parts·u]`.
+fn concat_cols(parts: &[&[f32]], rows: usize, u: usize, out: &mut [f32]) {
+    let w = parts.len() * u;
+    for i in 0..rows {
+        for (k, p) in parts.iter().enumerate() {
+            out[i * w + k * u..i * w + (k + 1) * u].copy_from_slice(&p[i * u..(i + 1) * u]);
+        }
+    }
+}
+
+/// Adds column block `k` of `src` (`[rows, grads·u]`) into `grads[k]`
+/// (`[rows, u]`).
+fn add_col_blocks(src: &[f32], rows: usize, u: usize, grads: &mut [&mut [f32]]) {
+    let w = grads.len() * u;
+    for i in 0..rows {
+        for (k, g) in grads.iter_mut().enumerate() {
+            let s = &src[i * w + k * u..i * w + (k + 1) * u];
+            for (d, &v) in g[i * u..(i + 1) * u].iter_mut().zip(s) {
+                *d += v;
+            }
+        }
+    }
+}
+
+/// Adds the column sums of `g` (`[rows, u]`) to `grad`, summing rows in
+/// ascending order into a zeroed buffer first, like `sum_axis0`.
+fn add_col_sums(g: &[f32], rows: usize, u: usize, grad: &mut [f32]) {
+    let mut sum = workspace::take(u);
+    for i in 0..rows {
+        for (s, &v) in sum.iter_mut().zip(&g[i * u..(i + 1) * u]) {
+            *s += v;
+        }
+    }
+    for (d, &s) in grad.iter_mut().zip(sum.iter()) {
+        *d += s;
+    }
+}
+
+/// The largest `|v|`, or `None` if any element is NaN or ±Inf. The
+/// magnitude bits of non-negative floats order like the floats, and ±Inf
+/// and NaN have the largest, so this is one integer max that vectorizes.
+fn max_abs(v: &[f32]) -> Option<f32> {
+    let m = v.iter().fold(0u32, |m, x| m.max(x.to_bits() & 0x7fff_ffff));
+    (m < f32::INFINITY.to_bits()).then(|| f32::from_bits(m))
+}
+
+/// Whether every partial sum of a `k`-term dot product with factors
+/// bounded by `a` and `b` stays finite, with a factor-2 margin for
+/// rounding.
+fn bounded(k: usize, a: f32, b: f32) -> bool {
+    k as f64 * f64::from(a) * f64::from(b) <= f64::from(f32::MAX) / 2.0
 }
 
 impl Gru {
@@ -129,6 +229,7 @@ impl Gru {
             cache: None,
             input_shape: None,
             scratch: GruScratch::default(),
+            seq1: Seq1Panel::default(),
         }
     }
 
@@ -343,26 +444,82 @@ impl Gru {
         fit(&mut self.scratch.uh_t, u * u);
         pack::pack_transpose(self.whh.value.as_slice(), u, u, &mut self.scratch.uh_t);
     }
-}
 
-/// Applies an activation elementwise.
-fn act(x: &Tensor, k: ActivationKind) -> Tensor {
-    x.map(|v| k.apply(v))
-}
+    /// The forward guard of the sequence-length-1 step. With `Uz`, `Ur`,
+    /// `Uh`, `Wr`, `br` and `x` finite and `x·Wr` unable to overflow,
+    /// `r_pre` is never NaN, so `r` is finite: then `h₀·Uz`, `h₀·Ur` and
+    /// `(r ⊙ h₀)·Uh` are exactly `+0.0`. Rebuilds [`Seq1Panel`] first if
+    /// [`Layer::params_mut`] marked it stale.
+    fn seq1_exact(&mut self, x: &[f32]) -> bool {
+        if !self.seq1.fresh {
+            let (c, u) = (self.in_channels, self.units);
+            let w = &mut self.seq1.w_zh_t;
+            fit(w, 2 * u * c);
+            pack::pack_transpose(self.wxz.value.as_slice(), c, u, &mut w[..u * c]);
+            pack::pack_transpose(self.wxh.value.as_slice(), c, u, &mut w[u * c..]);
+            let finite = |p: &Param| max_abs(p.value.as_slice()).is_some();
+            let rest = [&self.whz, &self.whr, &self.whh, &self.br];
+            self.seq1.wr_max =
+                max_abs(self.wxr.value.as_slice()).filter(|_| rest.into_iter().all(finite));
+            self.seq1.fresh = true;
+        }
+        matches!(
+            (self.seq1.wr_max, max_abs(x)),
+            (Some(w), Some(m)) if bounded(self.in_channels, m, w)
+        )
+    }
 
-/// Elementwise derivative-of-activation at the cached pre-activation,
-/// multiplied by the incoming gradient.
-fn act_grad(pre: &Tensor, g: &Tensor, k: ActivationKind) -> Tensor {
-    pre.zip_map(g, |x, gv| gv * k.derivative(x))
-        .expect("act grad")
-}
+    /// The step from h₀ = 0, taken when [`Gru::seq1_exact`] holds: the
+    /// general step's fused passes with every recurrent product replaced
+    /// by the `+0.0` it returns. The literal `+ 0.0` and `z·0.0` terms stay
+    /// because they fix the sign of zero and NaN as the reference does.
+    fn forward_seq1(&self, input: &Tensor, b: usize, mode: Mode) -> (Tensor, Option<GruCache>) {
+        let (c, u) = (self.in_channels, self.units);
+        // xw[bi·2u ..] = [x·Wz | x·Wh]; x·Wr only ever fed the dead reset
+        // gate.
+        let mut xw = workspace::take(b * 2 * u);
+        pack::gemm_bt(input.as_slice(), &self.seq1.w_zh_t, b, c, 2 * u, c, &mut xw);
+        let (bz, bh) = (self.bz.value.as_slice(), self.bh.value.as_slice());
+        let train = mode == Mode::Train;
+        let kept = if train { b * u } else { 0 };
+        let (mut z, mut hh, mut z_pre) =
+            (vec![0.0f32; kept], vec![0.0f32; kept], vec![0.0f32; kept]);
+        let mut out = vec![0.0f32; b * u];
+        for bi in 0..b {
+            let row = &xw[bi * 2 * u..(bi + 1) * 2 * u];
+            for j in 0..u {
+                let i = bi * u + j;
+                let zp = (row[j] + 0.0) + bz[j];
+                let zv = ActivationKind::HardSigmoid.apply(zp);
+                let hhv = ActivationKind::Tanh.apply((row[u + j] + 0.0) + bh[j]);
+                out[i] = (zv * 0.0) + ((1.0 - zv) * hhv);
+                if train {
+                    z_pre[i] = zp;
+                    z[i] = zv;
+                    hh[i] = hhv;
+                }
+            }
+        }
+        let out = Tensor::from_vec(vec![b, 1, u], out).expect("gru seq1 output");
+        let cache = train.then(|| GruCache::Seq1 {
+            x: input.clone(),
+            z,
+            hh,
+            z_pre,
+        });
+        (out, cache)
+    }
 
-impl Layer for Gru {
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
-        let (b, t, c) = btc(input.shape());
-        assert_eq!(c, self.in_channels, "gru channel mismatch");
+    /// The general fused step: any sequence length, any values.
+    fn forward_steps(
+        &mut self,
+        input: &Tensor,
+        b: usize,
+        t: usize,
+        mode: Mode,
+    ) -> (Tensor, Option<Vec<StepCache>>) {
+        let (c, u) = (self.in_channels, self.units);
         let flat = input.reshape(vec![b * t, c]).expect("gru flatten");
-        let u = self.units;
         self.pack_forward_weights();
         let bz = self.bz.value.as_slice();
         let br = self.br.value.as_slice();
@@ -385,12 +542,9 @@ impl Layer for Gru {
         let mut ruh = workspace::take(b * u);
         let mut rh = workspace::take(b * u);
         let mut h = Tensor::zeros(vec![b, u]);
-        let mut cache = Vec::with_capacity(t);
+        let mut cache = (mode == Mode::Train).then(|| Vec::with_capacity(t));
         let mut out = Tensor::zeros(vec![b, t, u]);
         for ti in 0..t {
-            let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
-            let x = flat.gather_rows(&rows);
-
             // z/r recurrent products batched: hu2[bi·2u ..] = [h·Uz | h·Ur].
             pack::gemm_bt(h.as_slice(), &self.scratch.u_zr_t, b, u, 2 * u, u, &mut hu2);
 
@@ -441,45 +595,97 @@ impl Layer for Gru {
 
             let shaped = |v: Vec<f32>| Tensor::from_vec(vec![b, u], v).expect("gru step tensor");
             let h_new = shaped(h_new);
-            cache.push(StepCache {
-                x,
-                h_prev: h,
-                z: shaped(z),
-                r: shaped(r),
-                hh: shaped(hh),
-                z_pre: shaped(z_pre),
-                r_pre: shaped(r_pre),
-            });
+            if let Some(cache) = cache.as_mut() {
+                let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
+                cache.push(StepCache {
+                    x: flat.gather_rows(&rows),
+                    h_prev: h,
+                    z: shaped(z),
+                    r: shaped(r),
+                    hh: shaped(hh),
+                    z_pre: shaped(z_pre),
+                    r_pre: shaped(r_pre),
+                });
+            }
             h = h_new;
         }
-        self.cache = Some(cache);
-        self.input_shape = Some(input.shape().to_vec());
-        out
+        (out, cache)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self.input_shape.clone().expect("gru input shape");
-        let (b, t, c) = btc(&shape);
-        let u = self.units;
-        let dy = grad_out.reshape(vec![b * t, u]).expect("gru grad flatten");
-        let dys = dy.as_slice();
+    /// Backward of [`Gru::forward_seq1`]: the general step's first fused
+    /// pass with `h_prev = carry = +0.0` kept literal, then `dx` and `dW`
+    /// over the live gates. The reset gate's gradient is `dr = da ⊙ h₀`
+    /// with `da = dh̃_pre·Uhᵀ`. When `da` is provably finite (`dh̃_pre`,
+    /// `Uh` finite and bounded, `Wr` finite) `dr` is `±0`: its `dx`
+    /// segment adds exactly `+0.0` (`dot_seg` never returns `-0.0`) and
+    /// its `dWr`/`dbr` terms are `+0.0`, so neither `da` nor the `r` gate
+    /// is formed. `dh_prev` is never read at the first step, and
+    /// `dU = h₀ᵀ·g` is exactly `+0.0` under `matmul_at`'s zero-skip, so
+    /// neither is formed either. Returns `None`, touching no gradient,
+    /// when the guard fails.
+    fn backward_seq1(
+        &mut self,
+        x: &[f32],
+        z: &[f32],
+        hh: &[f32],
+        z_pre: &[f32],
+        dy: &[f32],
+        b: usize,
+    ) -> Option<Vec<f32>> {
+        let (c, u) = (self.in_channels, self.units);
+        let mut dzp = workspace::take(b * u);
+        let mut dhhp = workspace::take(b * u);
+        for i in 0..b * u {
+            let g = dy[i] + 0.0;
+            let dz = (g * 0.0) - (g * hh[i]);
+            let dhh = g * (1.0 - z[i]);
+            dhhp[i] = dhh * (1.0 - hh[i] * hh[i]);
+            dzp[i] = dz * ActivationKind::HardSigmoid.derivative(z_pre[i]);
+        }
+        let exact = max_abs(self.wxr.value.as_slice()).is_some()
+            && matches!(
+                (max_abs(self.whh.value.as_slice()), max_abs(&dhhp)),
+                (Some(w), Some(g)) if bounded(u, g, w)
+            );
+        if !exact {
+            return None;
+        }
 
+        // One segmented GEMM for dx (seg = units) and one matmul_at for
+        // dW over [dz | dh̃].
+        let (wz, wh) = (self.wxz.value.as_slice(), self.wxh.value.as_slice());
+        fit(&mut self.scratch.w_cat, c * 2 * u);
+        concat_cols(&[wz, wh], c, u, &mut self.scratch.w_cat);
+        let mut g = workspace::take(b * 2 * u);
+        concat_cols(&[&dzp, &dhhp], b, u, &mut g);
+        let mut dx = vec![0.0f32; b * c];
+        pack::gemm_bt(&g, &self.scratch.w_cat, b, 2 * u, c, u, &mut dx);
+        let mut dw = workspace::take(c * 2 * u);
+        pack::matmul_at_into(x, &g, b, c, 2 * u, &mut dw);
+        add_col_blocks(
+            &dw,
+            c,
+            u,
+            &mut [self.wxz.grad.as_mut_slice(), self.wxh.grad.as_mut_slice()],
+        );
+        add_col_sums(&dzp, b, u, self.bz.grad.as_mut_slice());
+        add_col_sums(&dhhp, b, u, self.bh.grad.as_mut_slice());
+        Some(dx)
+    }
+
+    /// Backward of [`Gru::forward_steps`].
+    fn backward_steps(&mut self, cache: &[StepCache], dys: &[f32], b: usize, t: usize) -> Vec<f32> {
+        let (c, u) = (self.in_channels, self.units);
         // [Wz | Wr | Wh] column-concatenated: the dx product's weight in
         // panel layout. Refilled per call from the live weights.
-        let (wz, wr, wh) = (
+        let w = [
             self.wxz.value.as_slice(),
             self.wxr.value.as_slice(),
             self.wxh.value.as_slice(),
-        );
+        ];
         fit(&mut self.scratch.w_cat, c * 3 * u);
-        for i in 0..c {
-            let row = &mut self.scratch.w_cat[i * 3 * u..(i + 1) * 3 * u];
-            row[..u].copy_from_slice(&wz[i * u..(i + 1) * u]);
-            row[u..2 * u].copy_from_slice(&wr[i * u..(i + 1) * u]);
-            row[2 * u..].copy_from_slice(&wh[i * u..(i + 1) * u]);
-        }
+        concat_cols(&w, c, u, &mut self.scratch.w_cat);
 
-        let cache = self.cache.as_ref().expect("gru backward before forward");
         let mut dzp = workspace::take(b * u);
         let mut drp = workspace::take(b * u);
         let mut dhhp = workspace::take(b * u);
@@ -494,9 +700,8 @@ impl Layer for Gru {
         let mut dw_all = workspace::take(c * 3 * u);
         let mut du2 = workspace::take(u * 2 * u);
         let mut duh = workspace::take(u * u);
-        let mut bsum = workspace::take(u);
 
-        let mut dx = Tensor::zeros(vec![b * t, c]);
+        let mut dx = vec![0.0f32; b * t * c];
         for ti in (0..t).rev() {
             let step = &cache[ti];
             let hp = step.h_prev.as_slice();
@@ -548,83 +753,104 @@ impl Layer for Gru {
             // Gate gradients interleaved [dz_pre | dr_pre | dh̃_pre]: one
             // segmented GEMM gives dx_t = dz·Wzᵀ + dr·Wrᵀ + dh̃·Whᵀ with the
             // reference's assign-add-add accumulation order (seg = units).
-            for bi in 0..b {
-                let row = &mut g3[bi * 3 * u..(bi + 1) * 3 * u];
-                row[..u].copy_from_slice(&dzp[bi * u..(bi + 1) * u]);
-                row[u..2 * u].copy_from_slice(&drp[bi * u..(bi + 1) * u]);
-                row[2 * u..].copy_from_slice(&dhhp[bi * u..(bi + 1) * u]);
-            }
+            concat_cols(&[&dzp, &drp, &dhhp], b, u, &mut g3);
             pack::gemm_bt(&g3, &self.scratch.w_cat, b, 3 * u, c, u, &mut dxt);
             for bi in 0..b {
                 let row = bi * t + ti;
-                dx.as_mut_slice()[row * c..(row + 1) * c]
-                    .copy_from_slice(&dxt[bi * c..(bi + 1) * c]);
+                dx[row * c..(row + 1) * c].copy_from_slice(&dxt[bi * c..(bi + 1) * c]);
             }
 
             // Parameter gradients, batched per operand. `matmul_at_into`
             // accumulates, so the scratch outputs are re-zeroed per step.
             dw_all.fill(0.0);
             pack::matmul_at_into(step.x.as_slice(), &g3, b, c, 3 * u, &mut dw_all);
-            let (gwz, gwr, gwh) = (
-                self.wxz.grad.as_mut_slice(),
-                self.wxr.grad.as_mut_slice(),
-                self.wxh.grad.as_mut_slice(),
+            add_col_blocks(
+                &dw_all,
+                c,
+                u,
+                &mut [
+                    self.wxz.grad.as_mut_slice(),
+                    self.wxr.grad.as_mut_slice(),
+                    self.wxh.grad.as_mut_slice(),
+                ],
             );
-            for i in 0..c {
-                let row = &dw_all[i * 3 * u..(i + 1) * 3 * u];
-                for j in 0..u {
-                    gwz[i * u + j] += row[j];
-                    gwr[i * u + j] += row[u + j];
-                    gwh[i * u + j] += row[2 * u + j];
-                }
-            }
-            for bi in 0..b {
-                let row = &mut g2[bi * 2 * u..(bi + 1) * 2 * u];
-                row[..u].copy_from_slice(&dzp[bi * u..(bi + 1) * u]);
-                row[u..].copy_from_slice(&drp[bi * u..(bi + 1) * u]);
-            }
+            concat_cols(&[&dzp, &drp], b, u, &mut g2);
             du2.fill(0.0);
             pack::matmul_at_into(hp, &g2, b, u, 2 * u, &mut du2);
-            let (guz, gur) = (self.whz.grad.as_mut_slice(), self.whr.grad.as_mut_slice());
-            for i in 0..u {
-                let row = &du2[i * 2 * u..(i + 1) * 2 * u];
-                for j in 0..u {
-                    guz[i * u + j] += row[j];
-                    gur[i * u + j] += row[u + j];
-                }
-            }
+            add_col_blocks(
+                &du2,
+                u,
+                u,
+                &mut [self.whz.grad.as_mut_slice(), self.whr.grad.as_mut_slice()],
+            );
             for i in 0..b * u {
                 rh[i] = rs[i] * hp[i];
             }
             duh.fill(0.0);
             pack::matmul_at_into(&rh, &dhhp, b, u, u, &mut duh);
-            for (d, &s) in self.whh.grad.as_mut_slice().iter_mut().zip(duh.iter()) {
-                *d += s;
-            }
-
-            // Bias gradients: ascending-row column sums, like sum_axis0.
-            for (param, buf) in [
-                (&mut self.bz, &dzp),
-                (&mut self.br, &drp),
-                (&mut self.bh, &dhhp),
-            ] {
-                bsum.fill(0.0);
-                for bi in 0..b {
-                    for j in 0..u {
-                        bsum[j] += buf[bi * u + j];
-                    }
-                }
-                for (d, &s) in param.grad.as_mut_slice().iter_mut().zip(bsum.iter()) {
-                    *d += s;
-                }
-            }
+            add_col_blocks(&duh, u, u, &mut [self.whh.grad.as_mut_slice()]);
+            add_col_sums(&dzp, b, u, self.bz.grad.as_mut_slice());
+            add_col_sums(&drp, b, u, self.br.grad.as_mut_slice());
+            add_col_sums(&dhhp, b, u, self.bh.grad.as_mut_slice());
 
             carry.copy_from_slice(&dh_prev);
         }
-        dx.reshape(shape).expect("gru dx shape")
+        dx
+    }
+}
+
+/// Applies an activation elementwise.
+fn act(x: &Tensor, k: ActivationKind) -> Tensor {
+    x.map(|v| k.apply(v))
+}
+
+/// Elementwise derivative-of-activation at the cached pre-activation,
+/// multiplied by the incoming gradient.
+fn act_grad(pre: &Tensor, g: &Tensor, k: ActivationKind) -> Tensor {
+    pre.zip_map(g, |x, gv| gv * k.derivative(x))
+        .expect("act grad")
+}
+
+impl Layer for Gru {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let (b, t, c) = btc(input.shape());
+        assert_eq!(c, self.in_channels, "gru channel mismatch");
+        let (out, cache) = if t == 1 && self.seq1_exact(input.as_slice()) {
+            self.forward_seq1(input, b, mode)
+        } else {
+            let (out, steps) = self.forward_steps(input, b, t, mode);
+            (out, steps.map(GruCache::Steps))
+        };
+        self.cache = cache;
+        self.input_shape = Some(input.shape().to_vec());
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = self.cache.take().expect("gru backward before forward");
+        let shape = self.input_shape.clone().expect("gru input shape");
+        let (b, t, _) = btc(&shape);
+        let dy = grad_out
+            .reshape(vec![b * t, self.units])
+            .expect("gru grad flatten");
+        let dx = match &cache {
+            GruCache::Steps(steps) => self.backward_steps(steps, dy.as_slice(), b, t),
+            GruCache::Seq1 { x, z, hh, z_pre } => self
+                .backward_seq1(x.as_slice(), z, hh, z_pre, dy.as_slice(), b)
+                .unwrap_or_else(|| {
+                    // A skipped product may be non-finite: rerun the step
+                    // on the general path, which computes every product.
+                    let (_, steps) = self.forward_steps(x, b, 1, Mode::Train);
+                    let steps = steps.expect("gru train cache");
+                    self.backward_steps(&steps, dy.as_slice(), b, 1)
+                }),
+        };
+        self.cache = Some(cache);
+        Tensor::from_vec(shape, dx).expect("gru dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.seq1.fresh = false;
         vec![
             &mut self.wxz,
             &mut self.wxr,
@@ -754,5 +980,115 @@ mod tests {
         for (p, want) in gru.params_mut().into_iter().zip(&ref_grads) {
             assert_eq!(p.grad.as_slice(), want.as_slice(), "param grad drifted");
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Sequence length 1 takes the h₀ = 0 step, which must agree with the
+    /// reference to the bit, forward, backward and parameter gradients.
+    #[test]
+    fn seq1_train_step_bit_matches_reference() {
+        let mut rng = SeededRng::new(7);
+        let mut gru = Gru::new(3, 5, &mut rng);
+        let x = Init::GlorotUniform.tensor(vec![4, 1, 3], (3, 5), &mut rng);
+        let g = Init::GlorotUniform.tensor(vec![4, 1, 5], (3, 5), &mut rng);
+        let (ref_y, ref_dx, ref_grads) = gru.reference_fwd_bwd(&x, &g);
+        let y = gru.forward(&x, Mode::Train);
+        assert!(
+            matches!(gru.cache, Some(GruCache::Seq1 { .. })),
+            "seq-1 step not taken"
+        );
+        let dx = gru.backward(&g);
+        assert_eq!(bits(&y), bits(&ref_y), "forward drifted");
+        assert_eq!(bits(&dx), bits(&ref_dx), "dx drifted");
+        for (p, want) in gru.params_mut().into_iter().zip(&ref_grads) {
+            assert_eq!(bits(&p.grad), bits(want), "param grad drifted");
+        }
+    }
+
+    /// An Eval forward at sequence length 1 matches the reference forward
+    /// and keeps no backward cache.
+    #[test]
+    fn seq1_eval_forward_bit_matches_reference() {
+        let mut rng = SeededRng::new(8);
+        let mut gru = Gru::new(3, 5, &mut rng);
+        let x = Init::GlorotUniform.tensor(vec![4, 1, 3], (3, 5), &mut rng);
+        let y = gru.forward(&x, Mode::Eval);
+        assert!(gru.cache.is_none(), "eval forward kept a backward cache");
+        assert_eq!(bits(&y), bits(&gru.forward_reference(&x)));
+    }
+
+    /// The cached `[Wz | Wh]` panels follow a weight edit made through
+    /// `params_mut()` between two Eval forwards.
+    #[test]
+    fn seq1_weight_cache_follows_params_mut() {
+        let mut rng = SeededRng::new(9);
+        let mut gru = Gru::new(3, 4, &mut rng);
+        let x = Init::GlorotUniform.tensor(vec![2, 1, 3], (3, 4), &mut rng);
+        let before = gru.forward(&x, Mode::Eval);
+        for p in gru.params_mut() {
+            p.value.scale(0.5);
+        }
+        let after = gru.forward(&x, Mode::Eval);
+        assert_ne!(bits(&after), bits(&before), "stale weights served");
+        assert_eq!(bits(&after), bits(&gru.forward_reference(&x)));
+    }
+
+    /// A checkpoint load replaces the weights the cached panels came from.
+    #[test]
+    fn seq1_weight_cache_follows_checkpoint_load() {
+        let mut src = Gru::new(3, 4, &mut SeededRng::new(10));
+        let mut dst = Gru::new(3, 4, &mut SeededRng::new(11));
+        let x = Init::GlorotUniform.tensor(vec![2, 1, 3], (3, 4), &mut SeededRng::new(12));
+        let stale = dst.forward(&x, Mode::Eval);
+        let bytes = crate::io::params_to_bytes(&mut src);
+        crate::io::params_from_bytes(&mut dst, &bytes).expect("load");
+        let loaded = dst.forward(&x, Mode::Eval);
+        assert_ne!(bits(&loaded), bits(&stale), "stale weights served");
+        assert_eq!(bits(&loaded), bits(&src.forward(&x, Mode::Eval)));
+    }
+
+    /// The seq-1 step runs only the live GEMMs, and the FLOP counters see
+    /// only those: `x·[Wz|Wh]` forward; `[dz|dh̃]·[Wz|Wh]ᵀ` and
+    /// `xᵀ·[dz|dh̃]` backward.
+    #[test]
+    fn seq1_step_counts_only_the_live_gemms() {
+        let (b, c, u) = (3usize, 4usize, 5usize);
+        let mut rng = SeededRng::new(17);
+        let mut gru = Gru::new(c, u, &mut rng);
+        let x = Init::GlorotUniform.tensor(vec![b, 1, c], (c, u), &mut rng);
+        let g = Init::GlorotUniform.tensor(vec![b, 1, u], (c, u), &mut rng);
+        let rec = std::sync::Arc::new(pelican_observe::InMemoryRecorder::new());
+        pelican_observe::with_recorder(rec.clone(), || {
+            gru.forward(&x, Mode::Train);
+            gru.backward(&g);
+        });
+        assert_eq!(rec.counter("tensor.matmul_calls"), 3);
+        assert_eq!(
+            rec.counter("tensor.matmul_flops"),
+            3 * 2 * (b * c * 2 * u) as u64
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_eval_only_forward_panics() {
+        let mut gru = Gru::new(3, 4, &mut SeededRng::new(13));
+        gru.forward(&Tensor::ones(vec![2, 3, 3]), Mode::Eval);
+        gru.backward(&Tensor::ones(vec![2, 3, 4]));
+    }
+
+    /// An Eval forward drops the cache of an earlier Train forward, so a
+    /// backward cannot silently use activations of a different input.
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn eval_forward_clears_a_stale_train_cache() {
+        let mut gru = Gru::new(3, 4, &mut SeededRng::new(14));
+        let x = Tensor::ones(vec![2, 1, 3]);
+        gru.forward(&x, Mode::Train);
+        gru.forward(&x, Mode::Eval);
+        gru.backward(&Tensor::ones(vec![2, 1, 4]));
     }
 }

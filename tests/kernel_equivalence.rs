@@ -10,11 +10,13 @@
 //! ragged segment splits) and at every worker count, with the pool forced
 //! on so tiny shapes still exercise the parallel machinery.
 
+use pelican::nn::fault::Corruption;
 use pelican::nn::{Conv1d, Gru, Layer, Mode};
 use pelican::prelude::*;
 use pelican::runtime::with_exec;
 use pelican::tensor::{pack, SeededRng, Tensor};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Serial baseline, an even split, an odd split, and more workers than
 /// most test shapes have rows.
@@ -35,6 +37,146 @@ fn random_vec(len: usize, rng: &mut SeededRng) -> Vec<f32> {
 fn random_tensor(shape: Vec<usize>, rng: &mut SeededRng) -> Tensor {
     let data = random_vec(shape.iter().product(), rng);
     Tensor::from_vec(shape, data).unwrap()
+}
+
+/// Bit-equal except that any NaN matches any NaN: the payload of a NaN is
+/// not part of the contract, its position is.
+fn same_nan_positions_and_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got.iter().zip(want).all(|(g, w)| {
+            if w.is_nan() {
+                g.is_nan()
+            } else {
+                g.to_bits() == w.to_bits()
+            }
+        })
+}
+
+const CORRUPTIONS: [Corruption; 4] = [
+    Corruption::Nan,
+    Corruption::PosInf,
+    Corruption::NegInf,
+    Corruption::Huge,
+];
+
+/// One poisoned element of a GRU step, `(target, value, pos)`: `target`
+/// 0 is `x`, 1–9 index [`Layer::params_mut`], 10 is `grad_out`; `pos`
+/// picks the element.
+type Poison = (usize, f32, usize);
+
+/// A GRU, its input and its output gradient, with the `poison` elements
+/// overwritten. Deterministic, so every worker count sees the same case.
+fn poisoned_gru_case(
+    (batch, seq, cin, units): (usize, usize, usize, usize),
+    poison: &[Poison],
+    seed: u64,
+) -> (Gru, Tensor, Tensor) {
+    let mut rng = SeededRng::new(seed.wrapping_add(999));
+    let mut x = random_tensor(vec![batch, seq, cin], &mut rng);
+    let mut g = random_tensor(vec![batch, seq, units], &mut rng);
+    let mut gru = Gru::new(cin, units, &mut SeededRng::new(43));
+    let set = |t: &mut Tensor, pos: usize, value: f32| {
+        let n = t.len();
+        t.as_mut_slice()[pos % n] = value;
+    };
+    for &(target, value, pos) in poison {
+        match target {
+            0 => set(&mut x, pos, value),
+            10 => set(&mut g, pos, value),
+            i => set(&mut gru.params_mut()[i - 1].value, pos, value),
+        }
+    }
+    (gru, x, g)
+}
+
+/// Runs an Eval forward and a Train step of the poisoned case at every
+/// worker count against the reference: NaN lands where the reference
+/// puts it, and every other element, forward and backward, is bit-equal.
+fn check_poisoned_gru(
+    dims: (usize, usize, usize, usize),
+    poison: &[Poison],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (gru, x, g) = poisoned_gru_case(dims, poison, seed);
+    let want_eval = gru.forward_reference(&x);
+    let (want_y, want_dx, want_grads) = gru.reference_fwd_bwd(&x, &g);
+    let case = format!("{dims:?} poison {poison:?}");
+    for workers in WORKER_COUNTS {
+        let cfg = ExecConfig {
+            workers,
+            force_parallel: true,
+        };
+        with_exec(cfg, || -> Result<(), TestCaseError> {
+            let (mut gru, x, g) = poisoned_gru_case(dims, poison, seed);
+            let y_eval = gru.forward(&x, Mode::Eval);
+            prop_assert!(
+                same_nan_positions_and_bits(y_eval.as_slice(), want_eval.as_slice()),
+                "gru eval fwd {} @ {}",
+                case,
+                workers
+            );
+            let y = gru.forward(&x, Mode::Train);
+            prop_assert!(
+                same_nan_positions_and_bits(y.as_slice(), want_y.as_slice()),
+                "gru fwd {} @ {}",
+                case,
+                workers
+            );
+            gru.zero_grad();
+            let dx = gru.backward(&g);
+            prop_assert!(
+                same_nan_positions_and_bits(dx.as_slice(), want_dx.as_slice()),
+                "gru dx {} @ {}",
+                case,
+                workers
+            );
+            for (i, (p, want)) in gru.params_mut().into_iter().zip(&want_grads).enumerate() {
+                prop_assert!(
+                    same_nan_positions_and_bits(p.grad.as_slice(), want.as_slice()),
+                    "gru param {} grad {} @ {}",
+                    i,
+                    case,
+                    workers
+                );
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
+/// Finite operands whose `x·Wr` overflows as `Inf − Inf`: the reset gate
+/// is NaN, so the sequence-length-1 forward bound must send the step down
+/// the path that propagates it. No single 1e30 reaches this bound.
+#[test]
+fn gru_forward_guard_bounds_the_reset_product() {
+    let dims = (1, 1, 2, 1);
+    let poison = [(0, 1e30, 0), (0, 1e30, 1), (2, 1e30, 0), (2, -1e30, 1)];
+    let (gru, x, _) = poisoned_gru_case(dims, &poison, 0);
+    assert!(
+        gru.forward_reference(&x).as_slice()[0].is_nan(),
+        "case does not poison h̃"
+    );
+    check_poisoned_gru(dims, &poison, 0).unwrap();
+}
+
+/// Finite `dh̃_pre` and `Uh` whose product `da` overflows as `Inf − Inf`:
+/// `dr = da·0` is NaN, so the sequence-length-1 backward bound must keep
+/// the reset gate's `dx`/`dWr`/`dbr` terms.
+#[test]
+fn gru_backward_guard_bounds_da() {
+    let dims = (1, 1, 1, 2);
+    let poison = [
+        (0, 0.5, 0),
+        (6, 1e30, 0),
+        (6, -1e30, 1),
+        (10, 1e30, 0),
+        (10, 1e30, 1),
+    ];
+    let (gru, x, g) = poisoned_gru_case(dims, &poison, 0);
+    let (_, _, grads) = gru.reference_fwd_bwd(&x, &g);
+    assert!(grads[7].as_slice()[0].is_nan(), "case does not poison dbr");
+    check_poisoned_gru(dims, &poison, 0).unwrap();
 }
 
 /// Packed GEMM vs the retained seed kernel, at one (m, k, n, seg).
@@ -178,5 +320,26 @@ proptest! {
                 Ok(())
             })?;
         }
+    }
+
+    /// NaN, ±Inf and 1e30 in the input, any weight or bias, or the output
+    /// gradient: the sequence-length-1 step must take its skips only where
+    /// they are exact and otherwise compute the products, so NaN lands
+    /// where the reference puts it and every other element, forward and
+    /// backward, is bit-equal. Two poisoned operands can defeat a bound
+    /// (1e30 in both `x` and `Wr`) that one alone cannot. Sequence length
+    /// 3 runs the general step over the same poison.
+    #[test]
+    fn prop_gru_non_finite_matches_reference(
+        (batch, seq_pick, cin, units) in (1usize..5, 0usize..2, 1usize..5, 1usize..6),
+        poison in proptest::collection::vec((0usize..11, 0usize..4, 0usize..64), 1..3),
+        seed in 0u64..150,
+    ) {
+        let dims = (batch, [1, 3][seq_pick], cin, units);
+        let poison: Vec<Poison> = poison
+            .into_iter()
+            .map(|(target, kind, pos)| (target, CORRUPTIONS[kind].value(), pos))
+            .collect();
+        check_poisoned_gru(dims, &poison, seed)?;
     }
 }
