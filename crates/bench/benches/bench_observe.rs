@@ -33,7 +33,7 @@ fn workload_config() -> ExpConfig {
     ExpConfig {
         dataset: DatasetKind::NslKdd,
         samples: 1000,
-        epochs: 16,
+        epochs: 28,
         batch_size: 64,
         learning_rate: 0.01,
         kernel: 10,

@@ -32,9 +32,27 @@
 //! round-to-nearest `x + (-x) = +0.0`), so `acc += segment` is bit-equal to
 //! the old "first product assigns, later products add" chain, and
 //! all-zero padding segments contribute exactly nothing.
+//!
+//! # Lane engines
+//!
+//! Both funnels, [`gemm_bt`] and [`matmul_at_into`], run on one of three
+//! engines, chosen once per process from the CPU: the 512-bit engine where
+//! `is_x86_feature_detected!("avx512f")` holds, otherwise SSE2 on x86_64
+//! and the portable scalar engine elsewhere ([`engine_name`]). All three
+//! issue the same IEEE multiplies and adds per element in the same order —
+//! a separate `mul` and `add`, never a fused multiply-add, which rounds
+//! once and would change results — so every engine produces the same bits.
+//! The 512-bit `gemm_bt` reads B from an interleaved copy of `bt` packed
+//! per call, four columns' 4-lane chunks per 512-bit load; its `matmul_at`
+//! blocks the reduction over `t`, which is exact there because each output
+//! element is one ascending chain in `t` that may pause in `out`, unlike
+//! the fixed lanes of `gemm_bt`.
 
 use crate::PARALLEL_FLOP_THRESHOLD;
 use pelican_runtime::{current_exec, Pool};
+use std::ops::Range;
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 /// Microkernel row tile: output rows computed together.
 pub const MR: usize = 2;
@@ -42,6 +60,8 @@ pub const MR: usize = 2;
 pub const NR: usize = 4;
 /// k-strided accumulation lanes — fixed by the seed kernel's order.
 const LANES: usize = 4;
+/// Row tile of the 512-bit engine; pool row chunks are a multiple of it.
+const WIDE_MR: usize = 4;
 /// Column-panel budget in f32s (~256 KiB): columns per NC panel are chosen
 /// so `nc × k` stays within it, keeping the panel L2-resident while every
 /// row of A sweeps it.
@@ -411,9 +431,440 @@ pub fn gemm_bt_reference(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: us
     }
 }
 
+/// Whether the 512-bit engine runs: detected once per process. x86_64
+/// hosts without AVX-512 run the SSE2 engine, other targets the portable
+/// one.
+#[cfg(target_arch = "x86_64")]
+fn avx512() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| is_x86_feature_detected!("avx512f"))
+}
+
+/// The lane engine both funnels run on this host: `"avx512"`, `"sse2"` or
+/// `"portable"`. Every engine produces the same bits.
+pub fn engine_name() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512() {
+        return "avx512";
+    }
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "portable"
+    }
+}
+
+/// The 512-bit engine behind both funnels.
+///
+/// `gemm_bt`: one zmm register holds the four k-strided lanes of four
+/// output columns, so a register tile of 4 rows × 16 columns keeps 64
+/// elements' lanes live in 16 accumulators. Each A chunk is broadcast to
+/// all four 128-bit blocks (`_mm512_broadcast_f32x4`) and multiplied into
+/// one interleaved panel load (see [`pack_panel`]), then added: separate
+/// `mul` and `add`, never FMA, so lane q of element e runs exactly the
+/// IEEE operations of `l[e][q]` in [`dot_seg`]. The lanes are reduced
+/// in-register as `((l0+l1)+l2)+l3` into lane 0 of each block, the
+/// `seg % 4` tail products are added one by one in k order, and segments
+/// accumulate ascending — [`dot_seg`]'s order throughout.
+///
+/// `matmul_at`: a tile of 4 output rows × 32 columns in 8 accumulators
+/// walks `t` ascending with the same zero-skip as the scalar loop, one
+/// `mul` and one `add` per element per `t`. Each output element is one
+/// chain in `t` starting from its value in `out`, so the chain may pause
+/// in `out` between blocks of [`AT_TBLOCK`] rows of `t`; ragged rows and
+/// columns run the scalar loop.
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::{avx512, dot_seg, matmul_at_region, LANES, PANEL_F32S, WIDE_MR};
+    use core::arch::x86_64::*;
+
+    /// Columns per interleaved group: one zmm = four columns × four lanes.
+    const GROUP: usize = 4;
+    /// Floats per panel block: one zmm load.
+    const BLOCK: usize = GROUP * LANES;
+    /// Rows of `t` per `matmul_at` block: 256 × 32 columns of `b` (32 KiB)
+    /// stay cache-resident while every row tile sweeps them.
+    const AT_TBLOCK: usize = 256;
+    /// `matmul_at` tile width in zmm registers (32 columns).
+    const AT_NV: usize = 2;
+    /// Floats per zmm register.
+    const ZMM: usize = 16;
+
+    /// The shape every `gemm_bt` tile of one call shares: reduction depth,
+    /// output row stride, segment length and panel floats per group.
+    #[derive(Clone, Copy)]
+    struct Dims {
+        k: usize,
+        n: usize,
+        seg: usize,
+        glen: usize,
+    }
+
+    /// Panel floats per column group: one block per 4-wide k chunk of
+    /// every segment, plus one for each segment's ragged tail.
+    fn group_len(k: usize, seg: usize) -> usize {
+        let (full, last) = (k / seg, k % seg);
+        BLOCK * (full * seg.div_ceil(LANES) + last.div_ceil(LANES))
+    }
+
+    /// Length of the interleaved panel of an `n×k` `bt` at segment `seg`.
+    pub(super) fn panel_len(k: usize, n: usize, seg: usize) -> usize {
+        (n / GROUP) * group_len(k, seg)
+    }
+
+    /// Interleaves `bt` (`n×k`) into `dst`: for each group of four
+    /// columns, each segment and each 4-wide k chunk, the four columns'
+    /// chunks side by side (16 floats, one zmm load). A segment's ragged
+    /// tail fills the first `seg % 4` floats of each column's quarter of
+    /// one more block; the rest of that block is never added into a
+    /// result. Columns past the last full group are not packed; the driver
+    /// reads them from `bt`.
+    pub(super) fn pack_panel(bt: &[f32], k: usize, n: usize, seg: usize, dst: &mut [f32]) {
+        assert_eq!(dst.len(), panel_len(k, n, seg), "pack_panel dst len");
+        let glen = group_len(k, seg);
+        if glen == 0 {
+            return;
+        }
+        for (g, grp) in dst.chunks_exact_mut(glen).enumerate() {
+            let cols = &bt[g * GROUP * k..(g + 1) * GROUP * k];
+            for (c, col) in cols.chunks_exact(k).enumerate() {
+                let lane = c * LANES..(c + 1) * LANES;
+                let mut blocks = grp.chunks_exact_mut(BLOCK);
+                for s in col.chunks(seg) {
+                    let chunks = s.chunks_exact(LANES);
+                    let tail = chunks.remainder();
+                    for (chunk, block) in chunks.zip(&mut blocks) {
+                        block[lane.clone()].copy_from_slice(chunk);
+                    }
+                    if !tail.is_empty() {
+                        let block = blocks.next().expect("one block per ragged tail");
+                        block[lane.start..lane.start + tail.len()].copy_from_slice(tail);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `R`-row × `4·G`-column tile of `gemm_bt`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; `a` points at `R` rows of `d.k` floats;
+    /// `panel` points at `G` groups of `d.glen` floats; `out` points at `R`
+    /// rows of `4·G` writable floats, `d.n` apart; `d.seg >= 1`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_tile<const R: usize, const G: usize>(
+        d: Dims,
+        a: *const f32,
+        panel: *const f32,
+        out: *mut f32,
+    ) {
+        let Dims { k, n, seg, glen } = d;
+        // SAFETY (whole body): every offset below stays inside the
+        // regions the caller guarantees: A reads at `r*k + j` with
+        // `j < k`, panel reads at `g*glen + p` with `p < glen` (the
+        // walk below visits each of a group's blocks once, in packing
+        // order), out writes at `r*n + 4g + c`.
+        unsafe {
+            let mut tot = [[_mm512_setzero_ps(); G]; R];
+            let mut p = panel;
+            let mut s0 = 0;
+            while s0 < k {
+                let len = seg.min(k - s0);
+                let chunks = len / LANES;
+                let mut acc = [[_mm512_setzero_ps(); G]; R];
+                for i in 0..chunks {
+                    let j = s0 + i * LANES;
+                    let mut x = [_mm512_setzero_ps(); R];
+                    for (r, xr) in x.iter_mut().enumerate() {
+                        *xr = _mm512_broadcast_f32x4(_mm_loadu_ps(a.add(r * k + j)));
+                    }
+                    let mut y = [_mm512_setzero_ps(); G];
+                    for (g, yg) in y.iter_mut().enumerate() {
+                        *yg = _mm512_loadu_ps(p.add(g * glen));
+                    }
+                    for (xr, row) in x.iter().zip(acc.iter_mut()) {
+                        for (v, yg) in row.iter_mut().zip(&y) {
+                            *v = _mm512_add_ps(*v, _mm512_mul_ps(*xr, *yg));
+                        }
+                    }
+                    p = p.add(BLOCK);
+                }
+                // Lane 0 of each column's block becomes ((l0+l1)+l2)+l3.
+                for row in acc.iter_mut() {
+                    for v in row.iter_mut() {
+                        let s = _mm512_add_ps(*v, _mm512_permute_ps::<0b01>(*v));
+                        let s = _mm512_add_ps(s, _mm512_permute_ps::<0b10>(*v));
+                        *v = _mm512_add_ps(s, _mm512_permute_ps::<0b11>(*v));
+                    }
+                }
+                let tail = len % LANES;
+                if tail > 0 {
+                    let j = s0 + chunks * LANES;
+                    let mut x = [_mm512_setzero_ps(); R];
+                    for (r, xr) in x.iter_mut().enumerate() {
+                        let mut t = [0.0f32; LANES];
+                        core::ptr::copy_nonoverlapping(a.add(r * k + j), t.as_mut_ptr(), tail);
+                        *xr = _mm512_broadcast_f32x4(_mm_loadu_ps(t.as_ptr()));
+                    }
+                    let mut y = [_mm512_setzero_ps(); G];
+                    for (g, yg) in y.iter_mut().enumerate() {
+                        *yg = _mm512_loadu_ps(p.add(g * glen));
+                    }
+                    for (xr, row) in x.iter().zip(acc.iter_mut()) {
+                        for (v, yg) in row.iter_mut().zip(&y) {
+                            // Tail products one by one, in k order.
+                            let prod = _mm512_mul_ps(*xr, *yg);
+                            *v = _mm512_add_ps(*v, prod);
+                            if tail > 1 {
+                                *v = _mm512_add_ps(*v, _mm512_permute_ps::<0b01>(prod));
+                            }
+                            if tail > 2 {
+                                *v = _mm512_add_ps(*v, _mm512_permute_ps::<0b10>(prod));
+                            }
+                        }
+                    }
+                    p = p.add(BLOCK);
+                }
+                for (trow, row) in tot.iter_mut().zip(&acc) {
+                    for (t, v) in trow.iter_mut().zip(row) {
+                        *t = _mm512_add_ps(*t, *v);
+                    }
+                }
+                s0 += len;
+            }
+            let mut buf = [0.0f32; ZMM];
+            for (r, row) in tot.iter().enumerate() {
+                for (g, v) in row.iter().enumerate() {
+                    _mm512_storeu_ps(buf.as_mut_ptr(), *v);
+                    for c in 0..GROUP {
+                        *out.add(r * n + g * GROUP + c) = buf[c * LANES];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows `r..r+R` of one column panel (groups `g0..g1`): 16-column
+    /// tiles, then an 8- and a 4-column edge tile.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; `a`, `panel` and `out` hold rows
+    /// `r..r+R` and groups `g0..g1 <= n/4` as checked in [`gemm_bt_rows`].
+    #[target_feature(enable = "avx512f")]
+    unsafe fn gemm_sweep<const R: usize>(
+        d: Dims,
+        (a, panel, out): (&[f32], &[f32], &mut [f32]),
+        r: usize,
+        (g0, g1): (usize, usize),
+    ) {
+        let pa = a[r * d.k..].as_ptr();
+        let po = out[r * d.n..].as_mut_ptr();
+        // SAFETY: each tile reads groups g..g+G <= g1 of the panel and R
+        // rows of `a` from row r, and writes R rows of `out` from row r at
+        // columns 4g..4(g+G) <= n, all within the caller's checks.
+        unsafe {
+            let tile = |g: usize| (panel.as_ptr().add(g * d.glen), po.add(g * GROUP));
+            let mut g = g0;
+            while g + 4 <= g1 {
+                let (pp, po) = tile(g);
+                gemm_tile::<R, 4>(d, pa, pp, po);
+                g += 4;
+            }
+            if g + 2 <= g1 {
+                let (pp, po) = tile(g);
+                gemm_tile::<R, 2>(d, pa, pp, po);
+                g += 2;
+            }
+            if g < g1 {
+                let (pp, po) = tile(g);
+                gemm_tile::<R, 1>(d, pa, pp, po);
+            }
+        }
+    }
+
+    /// The 512-bit row driver of `gemm_bt`: output rows
+    /// `row0..row0+out.len()/n` of `A · Bᵀ`, from the interleaved `panel`
+    /// of `bt` (`pack_panel` at the same `seg`). Column panels of about
+    /// 256 KiB outermost, then 4-row tiles, then single rows; columns past
+    /// the last full group run [`dot_seg`] on `bt`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F or a slice length does not match.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn gemm_bt_rows(
+        a: &[f32],
+        panel: &[f32],
+        bt: &[f32],
+        out: &mut [f32],
+        k: usize,
+        n: usize,
+        seg: usize,
+        row0: usize,
+    ) {
+        assert!(avx512(), "512-bit engine needs AVX-512F");
+        if n == 0 || out.is_empty() {
+            return;
+        }
+        let rows = out.len() / n;
+        assert!(seg >= 1, "wide gemm_bt seg");
+        assert_eq!(out.len(), rows * n, "wide gemm_bt out len");
+        assert!(a.len() >= (row0 + rows) * k, "wide gemm_bt lhs len");
+        assert_eq!(bt.len(), n * k, "wide gemm_bt rhs len");
+        assert_eq!(panel.len(), panel_len(k, n, seg), "wide gemm_bt panel len");
+        let a = &a[row0 * k..(row0 + rows) * k];
+        let groups = n / GROUP;
+        let d = Dims {
+            k,
+            n,
+            seg,
+            glen: group_len(k, seg),
+        };
+        let fit = (PANEL_F32S / d.glen.max(1)).max(4);
+        let nc = fit - fit % 4;
+        let mut g0 = 0;
+        while g0 < groups {
+            let g1 = (g0 + nc).min(groups);
+            let mut r = 0;
+            // SAFETY: AVX-512F is present (asserted above); rows, groups
+            // and slice lengths are within the checked bounds.
+            unsafe {
+                while r + WIDE_MR <= rows {
+                    gemm_sweep::<WIDE_MR>(d, (a, panel, out), r, (g0, g1));
+                    r += WIDE_MR;
+                }
+                while r < rows {
+                    gemm_sweep::<1>(d, (a, panel, out), r, (g0, g1));
+                    r += 1;
+                }
+            }
+            g0 = g1;
+        }
+        for r in 0..rows {
+            let ar = &a[r * k..(r + 1) * k];
+            for j in groups * GROUP..n {
+                out[r * n + j] = dot_seg(ar, &bt[j * k..(j + 1) * k], seg);
+            }
+        }
+    }
+
+    /// One 4-row × `16·V`-column tile of `Aᵀ·B` over `t0..t1`, continuing
+    /// the running sums in `out`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F; for every `t` in `t0..t1`, `a` is
+    /// readable at `t*m + 0..4` and `b` at `t*n + 0..16·V`; `out` points
+    /// at 4 rows of `16·V` writable floats, `n` apart.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn at_tile<const V: usize>(
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        (t0, t1): (usize, usize),
+        out: *mut f32,
+    ) {
+        // SAFETY (whole body): offsets are those the caller guarantees.
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); V]; WIDE_MR];
+            for (r, row) in acc.iter_mut().enumerate() {
+                for (v, x) in row.iter_mut().enumerate() {
+                    *x = _mm512_loadu_ps(out.add(r * n + v * ZMM));
+                }
+            }
+            for t in t0..t1 {
+                let br = b.add(t * n);
+                let mut y = [_mm512_setzero_ps(); V];
+                for (v, yv) in y.iter_mut().enumerate() {
+                    *yv = _mm512_loadu_ps(br.add(v * ZMM));
+                }
+                let ar = a.add(t * m);
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let av = *ar.add(r);
+                    if av != 0.0 {
+                        let x = _mm512_set1_ps(av);
+                        for (s, yv) in row.iter_mut().zip(&y) {
+                            *s = _mm512_add_ps(*s, _mm512_mul_ps(x, *yv));
+                        }
+                    }
+                }
+            }
+            for (r, row) in acc.iter().enumerate() {
+                for (v, x) in row.iter().enumerate() {
+                    _mm512_storeu_ps(out.add(r * n + v * ZMM), *x);
+                }
+            }
+        }
+    }
+
+    /// The 512-bit row driver of `matmul_at`: same contract as
+    /// [`super::matmul_at_rows`] (`out` accumulates, so it must arrive
+    /// zeroed). Blocks of [`AT_TBLOCK`] rows of `t` outermost, then
+    /// 32-column tiles (one 16-column tile at the edge), then 4-row tiles;
+    /// ragged rows and the last `n % 16` columns run the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CPU lacks AVX-512F or a slice length does not match.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn matmul_at_rows(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        k: usize,
+        m: usize,
+        n: usize,
+        row0: usize,
+    ) {
+        assert!(avx512(), "512-bit engine needs AVX-512F");
+        if n == 0 {
+            return;
+        }
+        let rows = out.len() / n;
+        assert_eq!(out.len(), rows * n, "wide matmul_at out len");
+        assert_eq!(a.len(), k * m, "wide matmul_at lhs len");
+        assert_eq!(b.len(), k * n, "wide matmul_at rhs len");
+        assert!(row0 + rows <= m, "wide matmul_at rows");
+        let full_rows = rows - rows % WIDE_MR;
+        let tile_cols = AT_NV * ZMM;
+        let wide_cols = n - n % tile_cols;
+        let vec_cols = n - n % ZMM;
+        let mut t0 = 0;
+        while t0 < k {
+            let t1 = (t0 + AT_TBLOCK).min(k);
+            // SAFETY: AVX-512F is present (asserted above); every tile's
+            // rows row0+i..row0+i+4 <= m, columns j..j+16·V <= n and
+            // t < k are within the checked slice lengths.
+            unsafe {
+                let mut j = 0;
+                while j < vec_cols {
+                    for i in (0..full_rows).step_by(WIDE_MR) {
+                        let pa = a.as_ptr().add(row0 + i);
+                        let pb = b.as_ptr().add(j);
+                        let po = out.as_mut_ptr().add(i * n + j);
+                        if j < wide_cols {
+                            at_tile::<AT_NV>(pa, m, pb, n, (t0, t1), po);
+                        } else {
+                            at_tile::<1>(pa, m, pb, n, (t0, t1), po);
+                        }
+                    }
+                    j += if j < wide_cols { tile_cols } else { ZMM };
+                }
+            }
+            t0 = t1;
+        }
+        matmul_at_region(a, b, out, k, m, n, row0, 0..full_rows, vec_cols..n);
+        matmul_at_region(a, b, out, k, m, n, row0, full_rows..rows, 0..n);
+    }
+}
+
 /// Computes output rows `row0..row0+out.len()/n` of `Aᵀ·B` where `a` is
-/// `k×m` and `b` is `k×n`, both row-major. The reduction over `t` runs
-/// ascending with the zero-skip, so each output element sees the exact
+/// `k×m` and `b` is `k×n`, both row-major — the scalar engine, and the
+/// reference the 512-bit engine is tested against. The reduction over `t`
+/// runs ascending with the zero-skip, so each output element sees the exact
 /// per-element accumulation order of the serial kernel at every partition.
 pub fn matmul_at_rows(
     a: &[f32],
@@ -428,13 +879,35 @@ pub fn matmul_at_rows(
         return;
     }
     let rows = out.len() / n;
+    matmul_at_region(a, b, out, k, m, n, row0, 0..rows, 0..n);
+}
+
+/// The scalar `Aᵀ·B` loop over one rectangle of `out` (chunk-relative
+/// `rows`, absolute `cols`): for every `t` ascending, each row with a
+/// nonzero `a` entry adds `a·b` into its columns. `av != 0.0` skips ±0
+/// and keeps NaN.
+#[allow(clippy::too_many_arguments)]
+fn matmul_at_region(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    m: usize,
+    n: usize,
+    row0: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    if rows.is_empty() || cols.is_empty() {
+        return;
+    }
     for t in 0..k {
         let ar = &a[t * m..(t + 1) * m];
-        let br = &b[t * n..(t + 1) * n];
-        for i in 0..rows {
+        let br = &b[t * n + cols.start..t * n + cols.end];
+        for i in rows.clone() {
             let av = ar[row0 + i];
             if av != 0.0 {
-                let or = &mut out[i * n..(i + 1) * n];
+                let or = &mut out[i * n + cols.start..i * n + cols.end];
                 for (o, &bv) in or.iter_mut().zip(br) {
                     *o += av * bv;
                 }
@@ -458,6 +931,29 @@ pub(crate) fn plan(flops: usize, rows: usize) -> Option<(Pool, usize)> {
     Some((Pool::cached(workers), rows.div_ceil(workers)))
 }
 
+/// Runs `rows(chunk, row0)` over the `m` output rows of `out` (`n` columns
+/// each): serially, or across the pool in chunks of a multiple of
+/// [`WIDE_MR`] rows, so every chunk but the last fills whole 4-row tiles.
+/// Each output row is written by exactly one call, so the result never
+/// depends on the partition.
+fn partition(
+    flops: usize,
+    m: usize,
+    n: usize,
+    out: &mut [f32],
+    rows: impl Fn(&mut [f32], usize) + Sync,
+) {
+    match plan(flops, m) {
+        None => rows(out, 0),
+        Some((pool, chunk_rows)) => {
+            let chunk_rows = chunk_rows.next_multiple_of(WIDE_MR);
+            pool.scope_chunks(out, chunk_rows * n, |idx, chunk| {
+                rows(chunk, idx * chunk_rows);
+            });
+        }
+    }
+}
+
 /// Packed, pooled GEMM: `out = A (m×k) · Bᵀ` with `bt` in panel (n×k)
 /// layout and segmented accumulation. Partitions output rows across the
 /// cached pool above [`PARALLEL_FLOP_THRESHOLD`]; each row chunk runs the
@@ -466,7 +962,9 @@ pub(crate) fn plan(flops: usize, rows: usize) -> Option<(Pool, usize)> {
 ///
 /// This is the single funnel for dense products — `matmul`, `matmul_bt`,
 /// the im2col Conv1d and the fused GRU step all land here, which is also
-/// where the FLOP counters live.
+/// where the FLOP counters live. With the 512-bit engine, `bt` is first
+/// interleaved into workspace memory once per call (for at least four
+/// rows of A), and every row chunk reads that one panel.
 ///
 /// # Panics
 ///
@@ -480,14 +978,22 @@ pub fn gemm_bt(a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, seg: usize, 
     if m * n == 0 {
         return;
     }
-    match plan(m * k * n, m) {
-        None => gemm_bt_rows(a, bt, out, k, n, seg, 0),
-        Some((pool, chunk_rows)) => {
-            pool.scope_chunks(out, chunk_rows * n, |idx, chunk| {
-                gemm_bt_rows(a, bt, chunk, k, n, seg, idx * chunk_rows);
-            });
-        }
+    // Below one full row tile the panel would be read once, so
+    // interleaving it costs more than the wider lanes save.
+    #[cfg(target_arch = "x86_64")]
+    if avx512() && m >= WIDE_MR {
+        let seg = if seg == 0 { k.max(1) } else { seg };
+        let mut panel = crate::workspace::take(wide::panel_len(k, n, seg));
+        wide::pack_panel(bt, k, n, seg, &mut panel);
+        let panel = &*panel;
+        partition(m * k * n, m, n, out, |chunk, row0| {
+            wide::gemm_bt_rows(a, panel, bt, chunk, k, n, seg, row0);
+        });
+        return;
     }
+    partition(m * k * n, m, n, out, |chunk, row0| {
+        gemm_bt_rows(a, bt, chunk, k, n, seg, row0);
+    });
 }
 
 /// Pooled `Aᵀ·B` into a caller buffer: `a` is `k×m`, `b` is `k×n`, `out` is
@@ -506,14 +1012,16 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
     if m * n == 0 {
         return;
     }
-    match plan(m * k * n, m) {
-        None => matmul_at_rows(a, b, out, k, m, n, 0),
-        Some((pool, chunk_rows)) => {
-            pool.scope_chunks(out, chunk_rows * n, |idx, chunk| {
-                matmul_at_rows(a, b, chunk, k, m, n, idx * chunk_rows);
-            });
-        }
+    #[cfg(target_arch = "x86_64")]
+    if avx512() {
+        partition(m * k * n, m, n, out, |chunk, row0| {
+            wide::matmul_at_rows(a, b, chunk, k, m, n, row0);
+        });
+        return;
     }
+    partition(m * k * n, m, n, out, |chunk, row0| {
+        matmul_at_rows(a, b, chunk, k, m, n, row0);
+    });
 }
 
 #[cfg(test)]
@@ -585,8 +1093,59 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Bit-equal, except that a NaN matches any NaN.
+    fn same_nan_or_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| (w.is_nan() && g.is_nan()) || g.to_bits() == w.to_bits())
+    }
+
+    /// Every `gemm_bt` row driver this host can run: the SSE2 (portable
+    /// off x86_64) driver always, the 512-bit one when the CPU has
+    /// AVX-512F.
+    fn gemm_engines() -> Vec<&'static str> {
+        let mut engines = vec!["lanes"];
+        #[cfg(target_arch = "x86_64")]
+        if avx512() {
+            engines.push("avx512");
+        }
+        engines
+    }
+
+    /// Runs one engine's `gemm_bt` row driver, packing its panel first.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_rows(
+        engine: &str,
+        a: &[f32],
+        bt: &[f32],
+        out: &mut [f32],
+        k: usize,
+        n: usize,
+        seg: usize,
+        row0: usize,
+    ) {
+        match engine {
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => {
+                let mut panel = vec![0.0f32; wide::panel_len(k, n, seg)];
+                wide::pack_panel(bt, k, n, seg, &mut panel);
+                wide::gemm_bt_rows(a, &panel, bt, out, k, n, seg, row0);
+            }
+            _ => gemm_bt_rows(a, bt, out, k, n, seg, row0),
+        }
+    }
+
     #[test]
     fn blocked_matches_reference_across_shapes_and_segments() {
+        // m up to 11 and n up to 37 reach the 4×16 tile, every 8/4-column
+        // and single-row edge tile, and the dot_seg columns; k = 41 and
+        // 121 leave 4-lane tails.
         for &(m, k, n) in &[
             (1usize, 0usize, 1usize),
             (1, 1, 1),
@@ -596,17 +1155,129 @@ mod tests {
             (7, 12, 9),
             (16, 33, 17),
             (2, 121, 121),
+            (11, 41, 37),
+            (9, 16, 28),
+            (4, 7, 16),
         ] {
             let a = fill(m * k, |i| ((i * 37 % 23) as f32 - 11.0) * 0.17);
             let bt = fill(n * k, |i| ((i * 29 % 19) as f32 - 9.0) * 0.23);
-            for seg in [1usize, 2, 3, 4, k.max(1)] {
+            for seg in [1usize, 2, 3, 4, 5, k.max(1)] {
                 let mut want = vec![0.0f32; m * n];
                 gemm_bt_reference(&a, &bt, &mut want, k, n, seg);
+                for name in gemm_engines() {
+                    let mut got = vec![0.0f32; m * n];
+                    gemm_rows(name, &a, &bt, &mut got, k, n, seg, 0);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name} m={m} k={k} n={n} seg={seg}"
+                    );
+                    // A row chunk that starts mid-tile.
+                    if m > 1 {
+                        let mut tail = vec![0.0f32; (m - 1) * n];
+                        gemm_rows(name, &a, &bt, &mut tail, k, n, seg, 1);
+                        assert_eq!(
+                            bits(&tail),
+                            bits(&want[n..]),
+                            "{name} row0=1 m={m} k={k} n={n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_gemm_engine_keeps_non_finite_values_in_place() {
+        let (m, k, n) = (9usize, 23usize, 37usize);
+        let mut a = fill(m * k, |i| ((i * 13 % 17) as f32 - 8.0) * 0.31);
+        let mut bt = fill(n * k, |i| ((i * 7 % 11) as f32 - 5.0) * 0.19);
+        for (i, v) in [(3, f32::NAN), (40, f32::INFINITY), (77, -0.0), (150, 0.0)] {
+            a[i] = v;
+        }
+        for (i, v) in [
+            (5, f32::NEG_INFINITY),
+            (100, f32::NAN),
+            (400, 1e30),
+            (700, -1e30),
+        ] {
+            bt[i] = v;
+        }
+        for seg in [4usize, 5, k] {
+            let mut want = vec![0.0f32; m * n];
+            gemm_bt_reference(&a, &bt, &mut want, k, n, seg);
+            for name in gemm_engines() {
                 let mut got = vec![0.0f32; m * n];
-                gemm_bt_rows(&a, &bt, &mut got, k, n, seg, 0);
-                let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
-                let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(gb, wb, "m={m} k={k} n={n} seg={seg}");
+                gemm_rows(name, &a, &bt, &mut got, k, n, seg, 0);
+                assert!(same_nan_or_bits(&got, &want), "{name} seg={seg}");
+            }
+        }
+    }
+
+    /// The textbook `Aᵀ·B`: one ascending, zero-skipping sum per element,
+    /// independent of either engine's loop nest.
+    fn matmul_at_naive(a: &[f32], b: &[f32], k: usize, m: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut s = 0.0f32;
+                for t in 0..k {
+                    if a[t * m + i] != 0.0 {
+                        s += a[t * m + i] * b[t * n + j];
+                    }
+                }
+                out[i * n + j] = s;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_matmul_at_engine_matches_the_naive_sum() {
+        // n = 53 and 16 reach the 32- and 16-column tiles and the scalar
+        // column edge; m = 7 leaves ragged rows; k = 300 crosses a t block.
+        for &(k, m, n) in &[
+            (0usize, 3usize, 5usize),
+            (1, 1, 1),
+            (5, 4, 16),
+            (300, 7, 53),
+            (33, 9, 40),
+        ] {
+            let mut a = fill(k * m, |i| ((i * 31 % 29) as f32 - 14.0) * 0.13);
+            let mut b = fill(k * n, |i| ((i * 11 % 23) as f32 - 11.0) * 0.21);
+            for i in (0..a.len()).step_by(5) {
+                a[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            if k * m > 20 {
+                a[17] = f32::NAN;
+                a[19] = f32::INFINITY;
+                // Non-finite b inside the column tiles: the rows whose `a`
+                // is ±0 there must skip them.
+                let mid = (k / 2) * n;
+                b[mid] = f32::NAN;
+                b[mid + n - 1] = f32::NEG_INFINITY;
+                if n > 20 {
+                    b[mid + 20] = f32::INFINITY;
+                }
+            }
+            let want = matmul_at_naive(&a, &b, k, m, n);
+            for row0 in [0usize, 1] {
+                let rows = m - row0.min(m);
+                let mut got = vec![0.0f32; rows * n];
+                matmul_at_rows(&a, &b, &mut got, k, m, n, row0);
+                assert!(
+                    same_nan_or_bits(&got, &want[row0 * n..]),
+                    "scalar k={k} m={m} n={n} row0={row0}"
+                );
+                #[cfg(target_arch = "x86_64")]
+                if avx512() {
+                    let mut got = vec![0.0f32; rows * n];
+                    wide::matmul_at_rows(&a, &b, &mut got, k, m, n, row0);
+                    assert!(
+                        same_nan_or_bits(&got, &want[row0 * n..]),
+                        "avx512 k={k} m={m} n={n} row0={row0}"
+                    );
+                }
             }
         }
     }

@@ -44,6 +44,7 @@ grep -q '"within_budget": true' BENCH_observe.json
 echo "== BENCH_kernels.json well-formed =="
 test -s BENCH_kernels.json
 grep -q '"bench": "bench_kernels"' BENCH_kernels.json
+grep -q '"engine"' BENCH_kernels.json
 grep -q '"gemm_min_speedup"' BENCH_kernels.json
 grep -q '"gru_seq1_step_speedup"' BENCH_kernels.json
 grep -q '"bit_identical_to_seed": true' BENCH_kernels.json

@@ -3,12 +3,14 @@
 //! The blocked GEMM (`pelican::tensor::pack`), the im2col `Conv1d` and the
 //! fused `Gru` step each retain their seed kernels as references
 //! (`gemm_bt_reference`, `forward_reference`/`backward_reference`,
-//! `reference_fwd_bwd`). These properties assert the optimized paths are
-//! *bit-identical* to those references — compared through `f32::to_bits`,
-//! so `-0.0` vs `0.0` or NaN-payload drift would fail — across adversarial
-//! shapes (`k = 0`, single rows, non-multiples of the register tile,
-//! ragged segment splits) and at every worker count, with the pool forced
-//! on so tiny shapes still exercise the parallel machinery.
+//! `reference_fwd_bwd`), and `matmul_at_into` is checked against the
+//! serial scalar `matmul_at_rows`. These properties assert the optimized
+//! paths are *bit-identical* to those references — compared through
+//! `f32::to_bits`, so `-0.0` vs `0.0` drift would fail, and a NaN must land
+//! where the reference puts one — across adversarial shapes (`k = 0`,
+//! single rows, non-multiples of the register tile, ragged segment splits)
+//! and at every worker count, with the pool forced on so tiny shapes still
+//! exercise the parallel machinery.
 
 use pelican::nn::fault::Corruption;
 use pelican::nn::{Conv1d, Gru, Layer, Mode};
@@ -181,12 +183,46 @@ fn gru_backward_guard_bounds_da() {
 
 /// Packed GEMM vs the retained seed kernel, at one (m, k, n, seg).
 fn check_gemm(m: usize, k: usize, n: usize, seg: usize, seed: u64) {
+    check_gemm_poisoned(m, k, n, seg, seed, &[]);
+}
+
+/// One poisoned operand element of a dense product, `(operand, value,
+/// pos)`: `operand` 0 is the left-hand side, 1 the right-hand side; `pos`
+/// picks the element.
+type OperandPoison = (usize, f32, usize);
+
+/// Random operands with the `poison` elements overwritten.
+fn poisoned_operands(
+    lens: (usize, usize),
+    poison: &[OperandPoison],
+    seed: u64,
+) -> (Vec<f32>, Vec<f32>) {
     let mut rng = SeededRng::new(seed);
-    let a = random_vec(m * k, &mut rng);
-    let bt = random_vec(n * k, &mut rng);
+    let mut ops = [random_vec(lens.0, &mut rng), random_vec(lens.1, &mut rng)];
+    for &(operand, value, pos) in poison {
+        let op = &mut ops[operand];
+        if !op.is_empty() {
+            let len = op.len();
+            op[pos % len] = value;
+        }
+    }
+    let [lhs, rhs] = ops;
+    (lhs, rhs)
+}
+
+/// Packed GEMM vs the retained seed kernel on poisoned operands: NaN where
+/// the seed kernel puts it, every other element bit-equal.
+fn check_gemm_poisoned(
+    m: usize,
+    k: usize,
+    n: usize,
+    seg: usize,
+    seed: u64,
+    poison: &[OperandPoison],
+) {
+    let (a, bt) = poisoned_operands((m * k, n * k), poison, seed);
     let mut want = vec![0.0f32; m * n];
     pack::gemm_bt_reference(&a, &bt, &mut want, k, n, seg);
-    let want = raw_bits(&want);
     for workers in WORKER_COUNTS {
         let cfg = ExecConfig {
             workers,
@@ -197,13 +233,39 @@ fn check_gemm(m: usize, k: usize, n: usize, seg: usize, seed: u64) {
             pack::gemm_bt(&a, &bt, m, k, n, seg, &mut out);
             out
         });
-        assert_eq!(
-            raw_bits(&got),
-            want,
-            "gemm_bt m={m} k={k} n={n} seg={seg} @ {workers} workers"
+        assert!(
+            same_nan_positions_and_bits(&got, &want),
+            "gemm_bt m={m} k={k} n={n} seg={seg} poison {poison:?} @ {workers} workers"
         );
     }
 }
+
+/// `matmul_at_into` (the funnel's engine, pooled) vs the serial scalar
+/// `matmul_at_rows` on poisoned operands.
+fn check_matmul_at_poisoned(k: usize, m: usize, n: usize, seed: u64, poison: &[OperandPoison]) {
+    let (a, b) = poisoned_operands((k * m, k * n), poison, seed);
+    let mut want = vec![0.0f32; m * n];
+    pack::matmul_at_rows(&a, &b, &mut want, k, m, n, 0);
+    for workers in WORKER_COUNTS {
+        let cfg = ExecConfig {
+            workers,
+            force_parallel: true,
+        };
+        let got = with_exec(cfg, || {
+            let mut out = vec![0.0f32; m * n];
+            pack::matmul_at_into(&a, &b, k, m, n, &mut out);
+            out
+        });
+        assert!(
+            same_nan_positions_and_bits(&got, &want),
+            "matmul_at k={k} m={m} n={n} poison {poison:?} @ {workers} workers"
+        );
+    }
+}
+
+/// Poison values for dense operands: both zeros (the `matmul_at`
+/// zero-skip must skip them alike), NaN and both infinities.
+const OPERAND_POISON: [f32; 5] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
 
 // ---------------------------------------------------------------------
 // Deterministic adversarial GEMM shapes.
@@ -238,6 +300,17 @@ fn gemm_wide_panel_split_matches_reference() {
     check_gemm(3, 700, 130, 700, 15);
 }
 
+/// A segment length dividing `k` (0, meaning "full k", when k = 0),
+/// picked from its divisors.
+fn gemm_seg(k: usize, pick: usize) -> usize {
+    let divisors: Vec<usize> = (1..=k).filter(|d| k.is_multiple_of(*d)).collect();
+    if divisors.is_empty() {
+        0
+    } else {
+        divisors[pick % divisors.len()]
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property tests: random shapes, segments and worker counts.
 // ---------------------------------------------------------------------
@@ -245,16 +318,43 @@ fn gemm_wide_panel_split_matches_reference() {
 proptest! {
     /// Blocked, packed, possibly parallel GEMM is bit-identical to the
     /// retained serial seed kernel for arbitrary shapes and segment sizes.
+    /// m up to 11 and n up to 37 form the 4×16 register tile and every
+    /// 8/4-column and single-row edge tile; k up to 41 leaves 4-lane tails.
     #[test]
     fn prop_packed_gemm_matches_reference(
-        (m, k, n) in (1usize..8, 0usize..12, 1usize..10),
+        (m, k, n) in (1usize..12, 0usize..42, 1usize..38),
         seg_pick in 0usize..4,
         seed in 0u64..300,
     ) {
-        // seg must divide k; sample from the divisors (0 means "full k").
-        let divisors: Vec<usize> = (1..=k).filter(|d| k % d == 0).collect();
-        let seg = if divisors.is_empty() { 0 } else { divisors[seg_pick % divisors.len()] };
-        check_gemm(m, k, n, seg, seed.wrapping_add(31337));
+        check_gemm(m, k, n, gemm_seg(k, seg_pick), seed.wrapping_add(31337));
+    }
+
+    /// The same GEMM with zeros, NaN and ±Inf in either operand: NaN lands
+    /// where the seed kernel puts it and every other element is bit-equal.
+    #[test]
+    fn prop_packed_gemm_non_finite_matches_reference(
+        (m, k, n) in (1usize..12, 1usize..42, 1usize..38),
+        seg_pick in 0usize..4,
+        poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..512), 1..4),
+        seed in 0u64..300,
+    ) {
+        let poison: Vec<OperandPoison> =
+            poison.into_iter().map(|(op, v, pos)| (op, OPERAND_POISON[v], pos)).collect();
+        check_gemm_poisoned(m, k, n, gemm_seg(k, seg_pick), seed.wrapping_add(4242), &poison);
+    }
+
+    /// `matmul_at_into` vs the serial scalar loop: ragged row tiles
+    /// (m % 4 ≠ 0), ragged column tiles (n % 32 ≠ 0), reductions that cross
+    /// the 256-row t block, and zeros, −0.0, NaN and ±Inf in both operands.
+    #[test]
+    fn prop_matmul_at_matches_scalar(
+        (k, m, n) in (0usize..300, 1usize..14, 1usize..70),
+        poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..4096), 0..6),
+        seed in 0u64..300,
+    ) {
+        let poison: Vec<OperandPoison> =
+            poison.into_iter().map(|(op, v, pos)| (op, OPERAND_POISON[v], pos)).collect();
+        check_matmul_at_poisoned(k, m, n, seed.wrapping_add(2718), &poison);
     }
 
     /// im2col Conv1d forward/backward (one packed GEMM over the gathered
