@@ -10,7 +10,9 @@
 //! thread — the speedup asserted here is single-thread ILP, not
 //! parallelism, and results stay bit-identical (checked in-bench and,
 //! exhaustively, by `tests/kernel_equivalence.rs`). The `matmul_at` entry
-//! times the funnel's engine against the scalar loop at one shape.
+//! times the funnel's engine against the scalar loop at one shape, and the
+//! `tanh` entry `math::tanh_in_place` against an `f32::tanh` loop over the
+//! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal.
 //!
 //! Results go to `BENCH_kernels.json` at the workspace root, with the lane
 //! engine the host ran (`pack::engine_name`). The run fails if the
@@ -20,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pelican_nn::{Conv1d, Gru, Layer, Mode};
 use pelican_runtime::with_workers;
-use pelican_tensor::{pack, SeededRng, Tensor};
+use pelican_tensor::{math, pack, SeededRng, Tensor};
 use std::time::Instant;
 
 fn random_vec(len: usize, seed: u64) -> Vec<f32> {
@@ -105,6 +107,36 @@ fn matmul_at_case(k: usize, m: usize, n: usize, iters: usize) -> (f64, f64) {
     (scalar_s * 1e9, engine_s * 1e9)
 }
 
+/// `math::tanh_in_place` vs an `f32::tanh` loop over `n` elements, one
+/// thread; returns `(libm_ns, engine_ns)`. Both copy the input in first.
+/// The bit-equality assert pins glibc 2.36's `tanhf`, which the port
+/// reproduces: on a host with another libm it fails without the port
+/// being wrong.
+fn tanh_case(n: usize, iters: usize) -> (f64, f64) {
+    let xs = random_vec(n, 31);
+    let mut out_ref = vec![0.0f32; n];
+    let mut out_new = vec![0.0f32; n];
+    let libm_s = time_it(5, iters, || {
+        out_ref.copy_from_slice(&xs);
+        for v in out_ref.iter_mut() {
+            *v = v.tanh();
+        }
+    });
+    let engine_s = time_it(5, iters, || {
+        out_new.copy_from_slice(&xs);
+        math::tanh_in_place(&mut out_new);
+    });
+    let same = out_ref
+        .iter()
+        .zip(&out_new)
+        .all(|(x, y)| x.to_bits() == y.to_bits());
+    assert!(
+        same,
+        "tanh_in_place drifted from f32::tanh (glibc 2.36 tanhf bits) over {n} elements"
+    );
+    (libm_s * 1e9, engine_s * 1e9)
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let engine = pack::engine_name();
     eprintln!("[kernels] lane engine: {engine}");
@@ -141,6 +173,14 @@ fn bench_kernels(c: &mut Criterion) {
     let at_speedup = at_scalar_ns / at_engine_ns;
     eprintln!(
         "[kernels] matmul_at {at_k}x{at_m}x{at_n}: scalar {at_scalar_ns:.0} ns, {engine} {at_engine_ns:.0} ns → {at_speedup:.2}×"
+    );
+
+    // tanh: the GRU candidate pass at b = 4000, u = 196.
+    let tanh_n = 4000 * 196;
+    let (tanh_libm_ns, tanh_engine_ns) = tanh_case(tanh_n, 10);
+    let tanh_speedup = tanh_libm_ns / tanh_engine_ns;
+    eprintln!(
+        "[kernels] tanh n={tanh_n}: f32::tanh {tanh_libm_ns:.0} ns, {engine} {tanh_engine_ns:.0} ns → {tanh_speedup:.2}×"
     );
 
     // Conv1d: im2col (one packed GEMM over the live-tap patch matrix) vs
@@ -218,7 +258,7 @@ fn bench_kernels(c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
+        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
         engine,
         gemm_json.join(",\n"),
         min_speedup,
@@ -228,6 +268,10 @@ fn bench_kernels(c: &mut Criterion) {
         at_scalar_ns,
         at_engine_ns,
         at_speedup,
+        tanh_n,
+        tanh_libm_ns,
+        tanh_engine_ns,
+        tanh_speedup,
         conv_json.join(",\n"),
         gru_speedups[0],
         gru_speedups[1],

@@ -1,7 +1,7 @@
 //! Elementwise activation functions.
 
 use crate::{Layer, Mode};
-use pelican_tensor::Tensor;
+use pelican_tensor::{math, Tensor};
 
 /// The activation functions the paper's networks use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +27,7 @@ impl ActivationKind {
     pub fn apply(self, x: f32) -> f32 {
         match self {
             ActivationKind::Relu => x.max(0.0),
-            ActivationKind::Tanh => x.tanh(),
+            ActivationKind::Tanh => math::tanh(x),
             ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             ActivationKind::HardSigmoid => (0.2 * x + 0.5).clamp(0.0, 1.0),
             ActivationKind::LeakyRelu => {
@@ -58,7 +58,7 @@ impl ActivationKind {
                 }
             }
             ActivationKind::Tanh => {
-                let t = x.tanh();
+                let t = math::tanh(x);
                 1.0 - t * t
             }
             ActivationKind::Sigmoid => {

@@ -2,7 +2,8 @@
 
 use super::btc;
 use crate::{ActivationKind, Layer, Mode, Param};
-use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
+use pelican_tensor::workspace::{self, WsBuf};
+use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 
 /// Gated recurrent unit over `[batch, time, channels]`, returning the full
 /// hidden-state sequence (`return_sequences=True`).
@@ -26,7 +27,10 @@ use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 /// The forward batches all three input products into one
 /// `[b·t, 3·units]` GEMM over the whole sequence, the z/r recurrent
 /// products into one `[b, 2·units]` GEMM per step, and evaluates the gate
-/// nonlinearities in two fused passes over the step's elements. The
+/// nonlinearities in element passes over the step: the gates, then the
+/// candidate pre-activation into one buffer that a single
+/// [`math::tanh_in_place`] pass maps (16 lanes per instruction on
+/// AVX-512), then the hidden-state update. The
 /// backward batches the per-gate `matmul_at` parameter-gradient products
 /// the same way and produces `dx` with one segmented GEMM per step.
 /// Everything stays bit-identical to the retained per-gate reference
@@ -137,6 +141,51 @@ struct Seq1Panel {
     /// `max|Wr|` when `Uz`, `Ur`, `Uh`, `Wr` and `br` are all finite: the
     /// weight half of the forward guard.
     wr_max: Option<f32>,
+}
+
+/// One step's candidate h̃: a buffer the Train cache keeps, or workspace
+/// scratch in an Eval forward.
+enum Candidate {
+    Kept(Vec<f32>),
+    Scratch(WsBuf),
+}
+
+impl Candidate {
+    /// `fill` writes the pre-activation h̃_pre, then one
+    /// [`math::tanh_in_place`] pass maps it to h̃.
+    fn new(len: usize, keep: bool, fill: impl FnOnce(&mut [f32])) -> Self {
+        let mut hh = if keep {
+            Candidate::Kept(vec![0.0f32; len])
+        } else {
+            Candidate::Scratch(workspace::take(len))
+        };
+        let buf: &mut [f32] = match &mut hh {
+            Candidate::Kept(v) => v,
+            Candidate::Scratch(w) => w,
+        };
+        fill(buf);
+        math::tanh_in_place(buf);
+        hh
+    }
+
+    /// The buffer for the Train cache; empty for scratch, which no cache
+    /// holds.
+    fn into_kept(self) -> Vec<f32> {
+        match self {
+            Candidate::Kept(v) => v,
+            Candidate::Scratch(_) => Vec::new(),
+        }
+    }
+}
+
+impl std::ops::Deref for Candidate {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
+        match self {
+            Candidate::Kept(v) => v,
+            Candidate::Scratch(w) => w,
+        }
+    }
 }
 
 fn fit(buf: &mut Vec<f32>, len: usize) {
@@ -470,9 +519,10 @@ impl Gru {
     }
 
     /// The step from h₀ = 0, taken when [`Gru::seq1_exact`] holds: the
-    /// general step's fused passes with every recurrent product replaced
-    /// by the `+0.0` it returns. The literal `+ 0.0` and `z·0.0` terms stay
-    /// because they fix the sign of zero and NaN as the reference does.
+    /// general step's element passes with every recurrent product
+    /// replaced by the `+0.0` it returns. The literal `+ 0.0` and `z·0.0`
+    /// terms stay because they fix the sign of zero and NaN as the
+    /// reference does.
     fn forward_seq1(&self, input: &Tensor, b: usize, mode: Mode) -> (Tensor, Option<GruCache>) {
         let (c, u) = (self.in_channels, self.units);
         // xw[bi·2u ..] = [x·Wz | x·Wh]; x·Wr only ever fed the dead reset
@@ -481,9 +531,16 @@ impl Gru {
         pack::gemm_bt(input.as_slice(), &self.seq1.w_zh_t, b, c, 2 * u, c, &mut xw);
         let (bz, bh) = (self.bz.value.as_slice(), self.bh.value.as_slice());
         let train = mode == Mode::Train;
+        // Candidate: h̃_pre = (x·Wh + 0.0) + bh, then one vector tanh pass.
+        let hh = Candidate::new(b * u, train, |hh| {
+            for (hrow, row) in hh.chunks_exact_mut(u).zip(xw.chunks_exact(2 * u)) {
+                for ((h, &xv), &bv) in hrow.iter_mut().zip(&row[u..]).zip(bh) {
+                    *h = (xv + 0.0) + bv;
+                }
+            }
+        });
         let kept = if train { b * u } else { 0 };
-        let (mut z, mut hh, mut z_pre) =
-            (vec![0.0f32; kept], vec![0.0f32; kept], vec![0.0f32; kept]);
+        let (mut z, mut z_pre) = (vec![0.0f32; kept], vec![0.0f32; kept]);
         let mut out = vec![0.0f32; b * u];
         for bi in 0..b {
             let row = &xw[bi * 2 * u..(bi + 1) * 2 * u];
@@ -491,12 +548,10 @@ impl Gru {
                 let i = bi * u + j;
                 let zp = (row[j] + 0.0) + bz[j];
                 let zv = ActivationKind::HardSigmoid.apply(zp);
-                let hhv = ActivationKind::Tanh.apply((row[u + j] + 0.0) + bh[j]);
-                out[i] = (zv * 0.0) + ((1.0 - zv) * hhv);
+                out[i] = (zv * 0.0) + ((1.0 - zv) * hh[i]);
                 if train {
                     z_pre[i] = zp;
                     z[i] = zv;
-                    hh[i] = hhv;
                 }
             }
         }
@@ -504,7 +559,7 @@ impl Gru {
         let cache = train.then(|| GruCache::Seq1 {
             x: input.clone(),
             z,
-            hh,
+            hh: hh.into_kept(),
             z_pre,
         });
         (out, cache)
@@ -574,20 +629,25 @@ impl Gru {
 
             pack::gemm_bt(&rh, &self.scratch.uh_t, b, u, u, u, &mut ruh);
 
-            // Fused pass 2: candidate tanh and hidden-state update,
+            // Candidate h̃ = tanh((x·Wh + (r ⊙ h)·Uh) + bh) in one vector
+            // tanh pass, then the hidden-state update,
             // h = (z ⊙ h_prev) + ((1 − z) ⊙ h̃).
-            let mut hh = vec![0.0f32; b * u];
+            let hh = Candidate::new(b * u, cache.is_some(), |hh| {
+                for bi in 0..b {
+                    let xrow = (bi * t + ti) * 3 * u + 2 * u;
+                    for j in 0..u {
+                        let i = bi * u + j;
+                        hh[i] = (xw[xrow + j] + ruh[i]) + bh[j];
+                    }
+                }
+            });
             let mut h_new = vec![0.0f32; b * u];
             let outs = out.as_mut_slice();
             for bi in 0..b {
-                let xrow = (bi * t + ti) * 3 * u + 2 * u;
                 for j in 0..u {
                     let i = bi * u + j;
-                    let hp = (xw[xrow + j] + ruh[i]) + bh[j];
-                    let hhv = ActivationKind::Tanh.apply(hp);
                     let zv = z[i];
-                    let hn = (zv * hs[i]) + ((1.0 - zv) * hhv);
-                    hh[i] = hhv;
+                    let hn = (zv * hs[i]) + ((1.0 - zv) * hh[i]);
                     h_new[i] = hn;
                     outs[(bi * t + ti) * u + j] = hn;
                 }
@@ -602,7 +662,7 @@ impl Gru {
                     h_prev: h,
                     z: shaped(z),
                     r: shaped(r),
-                    hh: shaped(hh),
+                    hh: shaped(hh.into_kept()),
                     z_pre: shaped(z_pre),
                     r_pre: shaped(r_pre),
                 });

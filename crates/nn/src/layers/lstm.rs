@@ -2,7 +2,7 @@
 
 use super::btc;
 use crate::{ActivationKind, Layer, Mode, Param};
-use pelican_tensor::{Init, SeededRng, Tensor};
+use pelican_tensor::{math, Init, SeededRng, Tensor};
 
 /// LSTM over `[batch, time, channels]`, returning the full hidden sequence.
 ///
@@ -127,7 +127,7 @@ impl Layer for Lstm {
                 })
                 .expect("c update");
             let h_new = o
-                .zip_map(&c_new, |ov, cv| ov * cv.tanh())
+                .zip_map(&c_new, |ov, cv| ov * math::tanh(cv))
                 .expect("h update");
 
             for bi in 0..bsz {
@@ -170,7 +170,7 @@ impl Layer for Lstm {
             dh.add_assign(&dh_carry).expect("dh carry");
 
             let [i, f, o, g] = &step.gates;
-            let tanh_c = step.c.map(f32::tanh);
+            let tanh_c = step.c.map(math::tanh);
 
             // h = o ⊙ tanh(c)
             let do_post = dh.zip_map(&tanh_c, |a, b| a * b).expect("do");

@@ -2,7 +2,7 @@
 
 use super::btc;
 use crate::{Layer, Mode, Param};
-use pelican_tensor::{Init, SeededRng, Tensor};
+use pelican_tensor::{math, Init, SeededRng, Tensor};
 
 /// Simple tanh RNN over `[batch, time, channels]`, returning the hidden
 /// sequence: `h_t = tanh(x_t·W + h_{t-1}·U + b)`.
@@ -79,7 +79,7 @@ impl Layer for SimpleRnn {
             pre.add_assign(&h.matmul(&self.wh.value).expect("h·U"))
                 .expect("pre add");
             pre.add_row_bias(&self.b.value).expect("bias");
-            let h_new = pre.map(f32::tanh);
+            let h_new = pre.map(math::tanh);
             for bi in 0..bsz {
                 let src = &h_new.as_slice()[bi * u..(bi + 1) * u];
                 let dst = &mut out.as_mut_slice()[(bi * t + ti) * u..(bi * t + ti + 1) * u];

@@ -23,6 +23,7 @@
 mod error;
 mod init;
 mod linalg;
+pub mod math;
 mod ops;
 pub mod pack;
 mod reduce;

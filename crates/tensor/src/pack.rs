@@ -431,17 +431,19 @@ pub fn gemm_bt_reference(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: us
     }
 }
 
-/// Whether the 512-bit engine runs: detected once per process. x86_64
-/// hosts without AVX-512 run the SSE2 engine, other targets the portable
-/// one.
+/// Whether the 512-bit engine runs: detected once per process, and shared
+/// with [`crate::math::tanh_in_place`]. x86_64 hosts without AVX-512 run
+/// the SSE2 engine, other targets the portable one.
 #[cfg(target_arch = "x86_64")]
-fn avx512() -> bool {
+pub(crate) fn avx512() -> bool {
     static DETECTED: OnceLock<bool> = OnceLock::new();
     *DETECTED.get_or_init(|| is_x86_feature_detected!("avx512f"))
 }
 
-/// The lane engine both funnels run on this host: `"avx512"`, `"sse2"` or
-/// `"portable"`. Every engine produces the same bits.
+/// The lane engine both funnels and [`crate::math::tanh_in_place`] run on
+/// the running CPU: `"avx512"`, `"sse2"` or `"portable"`. Every engine
+/// produces the same bits; off `"avx512"`, `tanh_in_place` runs the scalar
+/// port.
 pub fn engine_name() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if avx512() {

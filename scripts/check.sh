@@ -8,8 +8,9 @@
 # scoring) — because the engine's contract is that both produce identical
 # results, and the pipeline chaos and observability tests re-run
 # explicitly at both counts (they assert bit-identical SimReports and
-# bit-identical JSONL exports). Formatting and rustdoc are gated
-# alongside clippy. Set PELICAN_BENCH=1 to also run the
+# bit-identical JSONL exports). The ignored exhaustive `tanh` sweep (all
+# 2^32 inputs, both engines against the host's libm, ~30 s) runs once in
+# release. Formatting and rustdoc are gated alongside clippy. Set PELICAN_BENCH=1 to also run the
 # observability-overhead and kernel benches (write BENCH_observe.json and
 # BENCH_kernels.json at the repo root).
 set -euo pipefail
@@ -30,6 +31,8 @@ PELICAN_THREADS=4 cargo test -q --test observability
 echo "== kernel equivalence @ PELICAN_THREADS=1 and 4 =="
 PELICAN_THREADS=1 cargo test -q --test kernel_equivalence
 PELICAN_THREADS=4 cargo test -q --test kernel_equivalence
+echo "== exhaustive tanh sweep (release) =="
+cargo test --release -q -p pelican-tensor -- --ignored
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 if [[ "${PELICAN_BENCH:-0}" == "1" ]]; then
@@ -47,5 +50,6 @@ grep -q '"bench": "bench_kernels"' BENCH_kernels.json
 grep -q '"engine"' BENCH_kernels.json
 grep -q '"gemm_min_speedup"' BENCH_kernels.json
 grep -q '"gru_seq1_step_speedup"' BENCH_kernels.json
+grep -q '"tanh"' BENCH_kernels.json
 grep -q '"bit_identical_to_seed": true' BENCH_kernels.json
 echo "all checks passed"

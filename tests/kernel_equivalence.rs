@@ -181,6 +181,48 @@ fn gru_backward_guard_bounds_da() {
     check_poisoned_gru(dims, &poison, 0).unwrap();
 }
 
+/// `h̃_pre = bh` hits every branch of the candidate `tanh`: with `x = 0`
+/// every input product is `+0.0`, so at sequence length 1 the candidate's
+/// pre-activation is `bh` itself. Its 7 values per case span ±0, tiny and
+/// subnormal inputs, each `expm1` case (k = 0, −1, k ≤ −2, k < 23,
+/// 23 ≤ k ≤ 56, k > 56), saturation, ±Inf and NaN; `b·u = 35` puts them
+/// in two 16-lane blocks and the scalar tail. Sequence length 3 runs the
+/// general step over the same biases.
+#[test]
+fn gru_candidate_covers_every_tanh_branch() {
+    let values = [
+        0.0f32,
+        -0.0,
+        1e-20,
+        -1e-40,
+        1e-8,
+        0.1,
+        -0.3,
+        0.6,
+        -0.9,
+        1.0,
+        -3.5,
+        9.0,
+        -19.9,
+        25.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+        0.5,
+        -7.7,
+        15.0,
+    ];
+    let (batch, cin, units) = (5, 3, 7);
+    for seq in [1, 3] {
+        for bh in values.chunks(units) {
+            let mut poison: Vec<Poison> = (0..batch * seq * cin).map(|i| (0, 0.0, i)).collect();
+            poison.extend(bh.iter().enumerate().map(|(j, &v)| (9, v, j)));
+            check_poisoned_gru((batch, seq, cin, units), &poison, 0).unwrap();
+        }
+    }
+}
+
 /// Packed GEMM vs the retained seed kernel, at one (m, k, n, seg).
 fn check_gemm(m: usize, k: usize, n: usize, seg: usize, seed: u64) {
     check_gemm_poisoned(m, k, n, seg, seed, &[]);
