@@ -12,15 +12,25 @@
 //! exhaustively, by `tests/kernel_equivalence.rs`). The `matmul_at` entry
 //! times the funnel's engine against the scalar loop at one shape, and the
 //! `tanh` entry `math::tanh_in_place` against an `f32::tanh` loop over the
-//! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal.
+//! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal. The
+//! `rmsprop` entry times `RmsProp::step`'s zipped sweep against the indexed
+//! per-element loop it replaced (`tests/support/optim_reference.rs`) over
+//! the 77 parameter tensors of the k-fold model (Residual-21, 121
+//! features), one thread, and asserts both leave bit-equal values and
+//! caches.
 //!
 //! Results go to `BENCH_kernels.json` at the workspace root, with the lane
 //! engine the host ran (`pack::engine_name`). The run fails if the
 //! L2-resident GEMM speedup drops below 2× — the floor the blocking exists
 //! to clear.
 
+#[path = "../../../tests/support/optim_reference.rs"]
+mod optim_reference;
+
 use criterion::{criterion_group, criterion_main, Criterion};
-use pelican_nn::{Conv1d, Gru, Layer, Mode};
+use pelican_core::models::{build_network, NetConfig};
+use pelican_nn::optim::{Optimizer, RmsProp};
+use pelican_nn::{Conv1d, Gru, Layer, Mode, Param};
 use pelican_runtime::with_workers;
 use pelican_tensor::{math, pack, SeededRng, Tensor};
 use std::time::Instant;
@@ -137,6 +147,50 @@ fn tanh_case(n: usize, iters: usize) -> (f64, f64) {
     (libm_s * 1e9, engine_s * 1e9)
 }
 
+/// `RmsProp::step` vs the indexed reference loop over the parameters of
+/// the k-fold model (Residual-21 at 121 features), one thread, at the
+/// Table-I learning rate; returns `(tensors, params, reference_ns,
+/// sweep_ns)`. Both sides run the same number of steps on copies of the
+/// same parameters and gradients, and must end bit-equal.
+fn rmsprop_case(iters: usize) -> (usize, usize, f64, f64) {
+    let cfg = NetConfig {
+        in_features: 121,
+        classes: 5,
+        blocks: 5,
+        residual: true,
+        kernel: 10,
+        dropout: 0.6,
+        seed: 32,
+    };
+    let mut net = build_network(&cfg);
+    let mut sweep: Vec<Param> = net.params_mut().into_iter().map(|p| p.clone()).collect();
+    for (i, p) in sweep.iter_mut().enumerate() {
+        p.grad = random_tensor(p.value.shape().to_vec(), 33 + i as u64);
+    }
+    let mut reference = sweep.clone();
+    let (lr, rho, eps) = (0.01, 0.9, 1e-7);
+    let mut opt = RmsProp::with_options(lr, rho, eps);
+    let reference_s = time_it(5, iters, || {
+        optim_reference::rmsprop(&mut reference.iter_mut().collect::<Vec<_>>(), lr, rho, eps);
+    });
+    let sweep_s = time_it(5, iters, || {
+        opt.step(&mut sweep.iter_mut().collect::<Vec<_>>());
+    });
+    let bits = |ps: &[Param]| -> Vec<u32> {
+        ps.iter()
+            .flat_map(|p| p.value.as_slice().iter().chain(p.state[0].as_slice()))
+            .map(|v| v.to_bits())
+            .collect()
+    };
+    assert!(
+        bits(&sweep) == bits(&reference),
+        "RmsProp sweep drifted from the indexed loop after {} steps",
+        5 * iters + 1
+    );
+    let params = sweep.iter().map(Param::len).sum();
+    (sweep.len(), params, reference_s * 1e9, sweep_s * 1e9)
+}
+
 fn bench_kernels(c: &mut Criterion) {
     let engine = pack::engine_name();
     eprintln!("[kernels] lane engine: {engine}");
@@ -181,6 +235,13 @@ fn bench_kernels(c: &mut Criterion) {
     let tanh_speedup = tanh_libm_ns / tanh_engine_ns;
     eprintln!(
         "[kernels] tanh n={tanh_n}: f32::tanh {tanh_libm_ns:.0} ns, {engine} {tanh_engine_ns:.0} ns → {tanh_speedup:.2}×"
+    );
+
+    // RMSprop: the optimizer update of one k-fold training step.
+    let (rms_tensors, rms_params, rms_reference_ns, rms_sweep_ns) = rmsprop_case(20);
+    let rms_speedup = rms_reference_ns / rms_sweep_ns;
+    eprintln!(
+        "[kernels] rmsprop {rms_tensors} tensors / {rms_params} params: indexed {rms_reference_ns:.0} ns, sweep {rms_sweep_ns:.0} ns → {rms_speedup:.2}×"
     );
 
     // Conv1d: im2col (one packed GEMM over the live-tap patch matrix) vs
@@ -258,7 +319,7 @@ fn bench_kernels(c: &mut Criterion) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
+        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"rmsprop\": {{\"tensors\": {}, \"params\": {}, \"reference_ns\": {:.0}, \"sweep_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; rmsprop compares RmsProp::step's zipped sweep against the indexed per-element loop it replaced over the 77 parameter tensors of the k-fold model (Residual-21, 121 features), one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
         engine,
         gemm_json.join(",\n"),
         min_speedup,
@@ -272,6 +333,11 @@ fn bench_kernels(c: &mut Criterion) {
         tanh_libm_ns,
         tanh_engine_ns,
         tanh_speedup,
+        rms_tensors,
+        rms_params,
+        rms_reference_ns,
+        rms_sweep_ns,
+        rms_speedup,
         conv_json.join(",\n"),
         gru_speedups[0],
         gru_speedups[1],

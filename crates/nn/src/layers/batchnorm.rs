@@ -97,7 +97,6 @@ impl Layer for BatchNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.channels(), "batchnorm channel mismatch");
-        let m = (b * t) as f32;
         let flat = input.reshape(vec![b * t, c]).expect("bn flatten");
 
         match mode {
@@ -121,12 +120,11 @@ impl Layer for BatchNorm {
                 // normalisation used here; the distinction only matters for
                 // tiny batches).
                 let mom = self.momentum;
-                for ((r, &bm), _) in self
+                for (r, &bm) in self
                     .running_mean
                     .as_mut_slice()
                     .iter_mut()
                     .zip(mean.as_slice())
-                    .zip(0..)
                 {
                     *r = mom * *r + (1.0 - mom) * bm;
                 }
@@ -138,7 +136,6 @@ impl Layer for BatchNorm {
                 {
                     *r = mom * *r + (1.0 - mom) * bv;
                 }
-                let _ = m;
 
                 let mut y = xhat.clone();
                 for row in y.as_mut_slice().chunks_mut(c) {

@@ -4,6 +4,13 @@
 //! (Table I); SGD, Adam and AdaDelta are provided for ablations — the paper
 //! itself names "SGD, RMSprop, ADAELTA" as the family of applicable
 //! optimizers (Section III).
+//!
+//! Each update is one zipped pass per parameter over its value, gradient
+//! and state slots, with the hyper-parameters copied into locals. Every
+//! expression keeps the operands and order of operations of the textbook
+//! per-element formula; Rust never contracts to FMA and IEEE mul, div and
+//! sqrt are correctly rounded, so the packed instructions the compiler
+//! emits for the pass give the bits a scalar loop gives.
 
 use crate::Param;
 
@@ -23,6 +30,39 @@ pub trait Optimizer {
 
     /// Adjusts the learning rate (for schedules).
     fn set_learning_rate(&mut self, lr: f32);
+}
+
+/// Destructures `p` for one zipped update sweep: its value, its gradient
+/// and its first `N` state slots (zero-allocated on first use).
+///
+/// # Panics
+///
+/// If the gradient or a state slot does not have one element per value
+/// element: a `zip` would otherwise stop silently at the shorter one.
+fn sweep<'a, const N: usize>(
+    p: &'a mut Param,
+    opt: &str,
+) -> (&'a mut [f32], &'a [f32], [&'a mut [f32]; N]) {
+    p.ensure_state(N);
+    let Param { value, grad, state } = p;
+    let n = value.len();
+    assert_eq!(
+        grad.len(),
+        n,
+        "{opt}: gradient has {} elements, parameter has {n}",
+        grad.len()
+    );
+    let mut slots = state.iter_mut().map(|s| {
+        assert_eq!(
+            s.len(),
+            n,
+            "{opt}: state slot has {} elements, parameter has {n}",
+            s.len()
+        );
+        s.as_mut_slice()
+    });
+    let slots = std::array::from_fn(|_| slots.next().expect("ensure_state made N slots"));
+    (value.as_mut_slice(), grad.as_slice(), slots)
 }
 
 /// Stochastic gradient descent with optional momentum.
@@ -46,19 +86,18 @@ impl Sgd {
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
+        let (lr, momentum) = (self.lr, self.momentum);
         for p in params {
-            if self.momentum == 0.0 {
-                let lr = self.lr;
-                let grad = p.grad.clone();
-                p.value.axpy(-lr, &grad).expect("sgd shapes");
+            if momentum == 0.0 {
+                p.value
+                    .axpy(-lr, &p.grad)
+                    .expect("sgd: gradient shape differs from the parameter's");
             } else {
-                p.ensure_state(1);
-                let (g, v) = (p.grad.as_slice().to_vec(), &mut p.state[0]);
-                for (vi, &gi) in v.as_mut_slice().iter_mut().zip(&g) {
-                    *vi = self.momentum * *vi - self.lr * gi;
+                let (value, grad, [v]) = sweep::<1>(p, "sgd momentum");
+                for ((th, v), &g) in value.iter_mut().zip(v.iter_mut()).zip(grad) {
+                    *v = momentum * *v - lr * g;
+                    *th += *v;
                 }
-                let v = p.state[0].clone();
-                p.value.add_assign(&v).expect("sgd momentum shapes");
             }
         }
     }
@@ -100,14 +139,12 @@ impl RmsProp {
 
 impl Optimizer for RmsProp {
     fn step(&mut self, params: &mut [&mut Param]) {
+        let (lr, rho, eps) = (self.lr, self.rho, self.eps);
         for p in params {
-            p.ensure_state(1);
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.as_slice()[i];
-                let cache = &mut p.state[0].as_mut_slice()[i];
-                *cache = self.rho * *cache + (1.0 - self.rho) * g * g;
-                p.value.as_mut_slice()[i] -= self.lr * g / (cache.sqrt() + self.eps);
+            let (value, grad, [cache]) = sweep::<1>(p, "rmsprop");
+            for ((th, c), &g) in value.iter_mut().zip(cache.iter_mut()).zip(grad) {
+                *c = rho * *c + (1.0 - rho) * g * g;
+                *th -= lr * g / (c.sqrt() + eps);
             }
         }
     }
@@ -147,20 +184,22 @@ impl Adam {
 impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let b1t = 1.0 - beta1.powi(self.t as i32);
+        let b2t = 1.0 - beta2.powi(self.t as i32);
         for p in params {
-            p.ensure_state(2);
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.as_slice()[i];
-                let m = &mut p.state[0].as_mut_slice()[i];
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+            let (value, grad, [m, v]) = sweep::<2>(p, "adam");
+            for (((th, m), v), &g) in value
+                .iter_mut()
+                .zip(m.iter_mut())
+                .zip(v.iter_mut())
+                .zip(grad)
+            {
+                *m = beta1 * *m + (1.0 - beta1) * g;
                 let mhat = *m / b1t;
-                let v = &mut p.state[1].as_mut_slice()[i];
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
                 let vhat = *v / b2t;
-                p.value.as_mut_slice()[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+                *th -= lr * mhat / (vhat.sqrt() + eps);
             }
         }
     }
@@ -203,18 +242,19 @@ impl Default for AdaDelta {
 
 impl Optimizer for AdaDelta {
     fn step(&mut self, params: &mut [&mut Param]) {
+        let (lr, rho, eps) = (self.lr, self.rho, self.eps);
         for p in params {
-            p.ensure_state(2);
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.as_slice()[i];
-                let eg = &mut p.state[0].as_mut_slice()[i];
-                *eg = self.rho * *eg + (1.0 - self.rho) * g * g;
-                let eg_v = *eg;
-                let ed = &mut p.state[1].as_mut_slice()[i];
-                let delta = -((*ed + self.eps).sqrt() / (eg_v + self.eps).sqrt()) * g;
-                *ed = self.rho * *ed + (1.0 - self.rho) * delta * delta;
-                p.value.as_mut_slice()[i] += self.lr * delta;
+            let (value, grad, [eg, ed]) = sweep::<2>(p, "adadelta");
+            for (((th, eg), ed), &g) in value
+                .iter_mut()
+                .zip(eg.iter_mut())
+                .zip(ed.iter_mut())
+                .zip(grad)
+            {
+                *eg = rho * *eg + (1.0 - rho) * g * g;
+                let delta = -((*ed + eps).sqrt() / (*eg + eps).sqrt()) * g;
+                *ed = rho * *ed + (1.0 - rho) * delta * delta;
+                *th += lr * delta;
             }
         }
     }
@@ -306,6 +346,61 @@ mod tests {
             sgdm.step(&mut [&mut mom]);
         }
         assert!(mom.value.as_slice()[0] < plain.value.as_slice()[0]);
+    }
+
+    /// One step on a 4-element parameter whose gradient has 3 elements.
+    fn step_with_short_grad(opt: &mut dyn Optimizer) {
+        let mut p = Param::new(Tensor::ones(vec![4]));
+        p.grad = Tensor::ones(vec![3]);
+        opt.step(&mut [&mut p]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sgd: gradient shape differs")]
+    fn sgd_rejects_mismatched_grad() {
+        step_with_short_grad(&mut Sgd::new(0.1));
+    }
+
+    #[test]
+    #[should_panic(expected = "sgd momentum: gradient has 3 elements, parameter has 4")]
+    fn sgd_momentum_rejects_mismatched_grad() {
+        step_with_short_grad(&mut Sgd::with_momentum(0.1, 0.9));
+    }
+
+    #[test]
+    #[should_panic(expected = "rmsprop: gradient has 3 elements, parameter has 4")]
+    fn rmsprop_rejects_mismatched_grad() {
+        step_with_short_grad(&mut RmsProp::new(0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "adam: gradient has 3 elements, parameter has 4")]
+    fn adam_rejects_mismatched_grad() {
+        step_with_short_grad(&mut Adam::new(0.01));
+    }
+
+    #[test]
+    #[should_panic(expected = "adadelta: gradient has 3 elements, parameter has 4")]
+    fn adadelta_rejects_mismatched_grad() {
+        step_with_short_grad(&mut AdaDelta::new());
+    }
+
+    /// A longer gradient is rejected too, and so is a state slot that
+    /// does not match the parameter.
+    #[test]
+    #[should_panic(expected = "rmsprop: gradient has 5 elements, parameter has 4")]
+    fn rmsprop_rejects_longer_grad() {
+        let mut p = Param::new(Tensor::ones(vec![4]));
+        p.grad = Tensor::ones(vec![5]);
+        RmsProp::new(0.01).step(&mut [&mut p]);
+    }
+
+    #[test]
+    #[should_panic(expected = "adam: state slot has 2 elements, parameter has 4")]
+    fn adam_rejects_mismatched_state_slot() {
+        let mut p = Param::new(Tensor::ones(vec![4]));
+        p.state = vec![Tensor::zeros(vec![4]), Tensor::zeros(vec![2])];
+        Adam::new(0.01).step(&mut [&mut p]);
     }
 
     #[test]

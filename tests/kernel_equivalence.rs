@@ -10,10 +10,16 @@
 //! where the reference puts one — across adversarial shapes (`k = 0`,
 //! single rows, non-multiples of the register tile, ragged segment splits)
 //! and at every worker count, with the pool forced on so tiny shapes still
-//! exercise the parallel machinery.
+//! exercise the parallel machinery. The four optimizers' zipped sweeps are
+//! checked the same way against the indexed loops they replaced
+//! (`support/optim_reference.rs`).
+
+#[path = "support/optim_reference.rs"]
+mod optim_reference;
 
 use pelican::nn::fault::Corruption;
-use pelican::nn::{Conv1d, Gru, Layer, Mode};
+use pelican::nn::optim::{AdaDelta, Adam, Optimizer, RmsProp, Sgd};
+use pelican::nn::{Conv1d, Gru, Layer, Mode, Param};
 use pelican::prelude::*;
 use pelican::runtime::with_exec;
 use pelican::tensor::{pack, SeededRng, Tensor};
@@ -44,14 +50,19 @@ fn random_tensor(shape: Vec<usize>, rng: &mut SeededRng) -> Tensor {
 /// Bit-equal except that any NaN matches any NaN: the payload of a NaN is
 /// not part of the contract, its position is.
 fn same_nan_positions_and_bits(got: &[f32], want: &[f32]) -> bool {
-    got.len() == want.len()
-        && got.iter().zip(want).all(|(g, w)| {
-            if w.is_nan() {
-                g.is_nan()
-            } else {
-                g.to_bits() == w.to_bits()
-            }
-        })
+    got.len() == want.len() && first_mismatch(got, want).is_none()
+}
+
+/// Index of the first element of `got` that is not bit-equal to `want`,
+/// where any NaN matches any NaN.
+fn first_mismatch(got: &[f32], want: &[f32]) -> Option<usize> {
+    got.iter().zip(want).position(|(g, w)| {
+        if w.is_nan() {
+            !g.is_nan()
+        } else {
+            g.to_bits() != w.to_bits()
+        }
+    })
 }
 
 const CORRUPTIONS: [Corruption; 4] = [
@@ -219,6 +230,158 @@ fn gru_candidate_covers_every_tanh_branch() {
             let mut poison: Vec<Poison> = (0..batch * seq * cin).map(|i| (0, 0.0, i)).collect();
             poison.extend(bh.iter().enumerate().map(|(j, &v)| (9, v, j)));
             check_poisoned_gru((batch, seq, cin, units), &poison, 0).unwrap();
+        }
+    }
+}
+
+/// Tensor lengths in every optimizer parameter list: empty, one element,
+/// one short of, exactly and one past 16 lanes, and a long run.
+const OPTIM_LENS: [usize; 6] = [0, 1, 15, 16, 17, 1000];
+
+/// Values an optimizer sweep must carry through bit for bit: signed zeros,
+/// subnormals, gradients whose square overflows to +Inf, ±Inf and NaNs of
+/// both signs with distinct payloads.
+const OPTIM_SPECIALS: [f32; 10] = [
+    0.0,
+    -0.0,
+    f32::from_bits(0x0000_0001),
+    -f32::from_bits(0x007f_ffff),
+    1e20,
+    -3e19,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(0x7fc0_1234),
+    f32::from_bits(0xffc0_0042),
+];
+
+/// `len` values of spread `scale`, each replaced by a special with
+/// probability `1/special_every` (never when `special_every` is 0).
+fn optim_values(len: usize, scale: f32, special_every: usize, rng: &mut SeededRng) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            if special_every > 0 && rng.index(special_every) == 0 {
+                OPTIM_SPECIALS[rng.index(OPTIM_SPECIALS.len())]
+            } else {
+                scale * rng.normal()
+            }
+        })
+        .collect()
+}
+
+/// One parameter list with a tensor of every length in [`OPTIM_LENS`], in
+/// a seeded order. Odd-indexed tensors start with `slots` pre-filled state
+/// slots (small values, subnormals and specials); the others start
+/// without, so the optimizer allocates them.
+fn optim_params(slots: usize, special_every: usize, rng: &mut SeededRng) -> Vec<Param> {
+    let mut lens = OPTIM_LENS.to_vec();
+    rng.shuffle(&mut lens);
+    lens.iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            let value = optim_values(len, 1.0, special_every, rng);
+            let mut p = Param::new(Tensor::from_vec(vec![len], value).unwrap());
+            if i % 2 == 1 {
+                for _ in 0..slots {
+                    let mut s = optim_values(len, 1e-3, special_every, rng);
+                    for v in s.iter_mut().step_by(5) {
+                        *v = f32::from_bits(rng.index(0x0080_0000) as u32);
+                    }
+                    p.state.push(Tensor::from_vec(vec![len], s).unwrap());
+                }
+            }
+            p
+        })
+        .collect()
+}
+
+/// Runs 50 steps of `opt` and of its retained indexed loop `reference` on
+/// identical parameter lists, feeding both the same gradients (specials
+/// in about one element in `special_every`), and compares the raw bits of
+/// every value and state slot after each step. Where the reference holds a
+/// NaN the sweep must too, but its sign and payload are free: Rust leaves
+/// them unspecified for an arithmetic result, and an optimized build does
+/// pick them differently for the same loop compiled into two crates
+/// (AdaDelta's, when two NaNs meet or the negation of a NaN is moved).
+fn check_optimizer(
+    name: &str,
+    opt: &mut dyn Optimizer,
+    reference: &mut dyn FnMut(&mut [&mut Param]),
+    slots: usize,
+    special_every: usize,
+    seed: u64,
+) {
+    let mut rng = SeededRng::new(seed);
+    let mut got = optim_params(slots, special_every, &mut rng);
+    let mut want = got.clone();
+    for step in 0..50 {
+        for (g, w) in got.iter_mut().zip(&mut want) {
+            let grad = optim_values(g.len(), 1.0, special_every, &mut rng);
+            g.grad = Tensor::from_vec(vec![grad.len()], grad).unwrap();
+            w.grad = g.grad.clone();
+        }
+        opt.step(&mut got.iter_mut().collect::<Vec<_>>());
+        reference(&mut want.iter_mut().collect::<Vec<_>>());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let case = format!("{name} seed {seed} step {step} param {i} (len {})", g.len());
+            let at = first_mismatch(g.value.as_slice(), w.value.as_slice());
+            assert_eq!(at, None, "{case}: value");
+            assert_eq!(g.state.len(), w.state.len(), "{case}: slot count");
+            for (s, (gs, ws)) in g.state.iter().zip(&w.state).enumerate() {
+                let at = first_mismatch(gs.as_slice(), ws.as_slice());
+                assert_eq!(at, None, "{case}: state slot {s}");
+            }
+        }
+    }
+}
+
+/// Every optimizer's zipped sweep against its retained indexed loop, at a
+/// working and a zero learning rate, on clean lists and on lists salted
+/// with specials.
+#[test]
+fn optimizers_match_indexed_reference() {
+    for seed in 0..4u64 {
+        for special_every in [0, 8, 64] {
+            for lr in [0.01f32, 0.0] {
+                let check = |name: &str,
+                             opt: &mut dyn Optimizer,
+                             indexed: &mut dyn FnMut(&mut [&mut Param]),
+                             slots: usize| {
+                    opt.set_learning_rate(lr);
+                    let name = format!("{name} lr {lr} specials 1/{special_every}");
+                    check_optimizer(&name, opt, indexed, slots, special_every, seed);
+                };
+                check(
+                    "sgd",
+                    &mut Sgd::new(lr),
+                    &mut |ps| optim_reference::sgd(ps, lr, 0.0),
+                    0,
+                );
+                check(
+                    "sgd momentum",
+                    &mut Sgd::with_momentum(lr, 0.9),
+                    &mut |ps| optim_reference::sgd(ps, lr, 0.9),
+                    1,
+                );
+                check(
+                    "rmsprop",
+                    &mut RmsProp::new(lr),
+                    &mut |ps| optim_reference::rmsprop(ps, lr, 0.9, 1e-7),
+                    1,
+                );
+                let mut t = 0;
+                check(
+                    "adam",
+                    &mut Adam::new(lr),
+                    &mut |ps| optim_reference::adam(ps, &mut t, lr),
+                    2,
+                );
+                check(
+                    "adadelta",
+                    &mut AdaDelta::new(),
+                    &mut |ps| optim_reference::adadelta(ps, lr),
+                    2,
+                );
+            }
         }
     }
 }
