@@ -27,7 +27,6 @@
 #[path = "../../../tests/support/optim_reference.rs"]
 mod optim_reference;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pelican_core::models::{build_network, NetConfig};
 use pelican_nn::optim::{Optimizer, RmsProp};
 use pelican_nn::{Conv1d, Gru, Layer, Mode, Param};
@@ -191,7 +190,7 @@ fn rmsprop_case(iters: usize) -> (usize, usize, f64, f64) {
     (sweep.len(), params, reference_s * 1e9, sweep_s * 1e9)
 }
 
-fn bench_kernels(c: &mut Criterion) {
+fn main() {
     let engine = pack::engine_name();
     eprintln!("[kernels] lane engine: {engine}");
     // L2-resident shapes: the training matmuls of the paper's networks
@@ -348,17 +347,4 @@ fn bench_kernels(c: &mut Criterion) {
         Ok(()) => eprintln!("[kernels] wrote {}", path.display()),
         Err(e) => eprintln!("[kernels] could not write {}: {e}", path.display()),
     }
-
-    c.bench_function("kernels_1shot", |bench| {
-        // The measurements above are the real content; this registers the
-        // bench with criterion's output.
-        bench.iter(|| 0usize)
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_kernels
-}
-criterion_main!(benches);

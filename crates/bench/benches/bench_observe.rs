@@ -20,7 +20,6 @@
 //! Two instrument micro-costs are included so regressions in the fast
 //! path show up directly, not just through the end-to-end noise.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pelican_core::experiment::{run_network, Arch, DatasetKind, ExpConfig};
 use pelican_observe::{with_recorder, InMemoryRecorder, NoopRecorder, Recorder};
 use pelican_runtime::with_workers;
@@ -105,7 +104,7 @@ fn instrument_micro_costs() -> (f64, f64) {
     (disabled_ns, live_ns)
 }
 
-fn bench_observe_overhead(c: &mut Criterion) {
+fn main() {
     let cfg = workload_config();
     one_run(&cfg); // warm-up: page in the data generator and allocator
 
@@ -139,22 +138,4 @@ fn bench_observe_overhead(c: &mut Criterion) {
         Ok(()) => eprintln!("[observe] wrote {}", path.display()),
         Err(e) => eprintln!("[observe] could not write {}: {e}", path.display()),
     }
-
-    // Register the headline numbers with criterion's output for free.
-    c.bench_function("observe_disabled_counter_add", |b| {
-        b.iter(|| pelican_observe::counter_add("bench.disabled", 1))
-    });
-    let rec = Arc::new(InMemoryRecorder::new());
-    c.bench_function("observe_live_counter_add", |b| {
-        with_recorder(rec.clone(), || {
-            b.iter(|| pelican_observe::counter_add("bench.live", 1))
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_observe_overhead
-}
-criterion_main!(benches);

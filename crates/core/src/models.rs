@@ -185,12 +185,6 @@ impl NeuralClassifier {
             shuffle_seed: 0,
         }
     }
-
-    /// Overrides the learning rate (default: the paper's 0.01).
-    pub fn with_learning_rate(mut self, lr: f32) -> Self {
-        self.learning_rate = lr;
-        self
-    }
 }
 
 impl std::fmt::Debug for NeuralClassifier {

@@ -6,12 +6,10 @@ pub mod conv1d;
 pub mod dense;
 pub mod dropout;
 pub mod gru;
-pub mod layernorm;
 pub mod lstm;
 pub mod pool;
 pub mod reshape;
 pub mod residual;
-pub mod rnn;
 pub mod sequential;
 
 /// Splits a `[batch, time, channels]` (or `[batch, channels]`) shape into

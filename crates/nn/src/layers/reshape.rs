@@ -32,11 +32,6 @@ impl Reshape {
             input_shape: None,
         }
     }
-
-    /// The per-example target shape.
-    pub fn target_tail(&self) -> &[usize] {
-        &self.target_tail
-    }
 }
 
 impl Layer for Reshape {

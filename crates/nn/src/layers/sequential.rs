@@ -36,11 +36,6 @@ impl Sequential {
         self.layers.push(Box::new(layer));
     }
 
-    /// Appends an already-boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
     /// Number of layers in the stack (not recursive).
     pub fn len(&self) -> usize {
         self.layers.len()

@@ -52,12 +52,10 @@ pub use layers::conv1d::Conv1d;
 pub use layers::dense::Dense;
 pub use layers::dropout::Dropout;
 pub use layers::gru::Gru;
-pub use layers::layernorm::LayerNorm;
 pub use layers::lstm::Lstm;
 pub use layers::pool::{GlobalAvgPool1d, MaxPool1d};
 pub use layers::reshape::Reshape;
 pub use layers::residual::Residual;
-pub use layers::rnn::SimpleRnn;
 pub use layers::sequential::Sequential;
 pub use param::Param;
 pub use trainer::{

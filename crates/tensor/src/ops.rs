@@ -1,6 +1,6 @@
 //! Additional elementwise and structural operations.
 
-use crate::{ShapeError, Tensor};
+use crate::Tensor;
 use std::fmt;
 
 impl Tensor {
@@ -48,202 +48,6 @@ impl Tensor {
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Self {
         self.map(f32::exp)
-    }
-
-    /// Elementwise natural logarithm of `max(x, eps)` — safe for
-    /// probability tensors.
-    pub fn ln_clamped(&self, eps: f32) -> Self {
-        self.map(|v| v.max(eps).ln())
-    }
-
-    /// Elementwise square root of `max(x, 0)`.
-    pub fn sqrt_clamped(&self) -> Self {
-        self.map(|v| v.max(0.0).sqrt())
-    }
-
-    /// Elementwise power.
-    pub fn powf(&self, exponent: f32) -> Self {
-        self.map(|v| v.powf(exponent))
-    }
-
-    /// Stacks rank-2 tensors on top of each other (row concatenation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] when the inputs are not all rank-2 with the
-    /// same column count, or the list is empty.
-    pub fn concat_rows(parts: &[&Tensor]) -> Result<Tensor, ShapeError> {
-        let first = parts
-            .first()
-            .ok_or_else(|| ShapeError::new("concat_rows", &[], &[]))?;
-        if first.rank() != 2 {
-            return Err(ShapeError::new("concat_rows", first.shape(), &[2]));
-        }
-        let cols = first.shape()[1];
-        let mut rows = 0usize;
-        for p in parts {
-            if p.rank() != 2 || p.shape()[1] != cols {
-                return Err(ShapeError::new("concat_rows", p.shape(), &[rows, cols]));
-            }
-            rows += p.shape()[0];
-        }
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            data.extend_from_slice(p.as_slice());
-        }
-        Tensor::from_vec(vec![rows, cols], data)
-    }
-
-    /// Splits a rank-2 tensor into two at row `at` (first gets rows
-    /// `0..at`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless the tensor is rank-2 and
-    /// `at <= rows`.
-    pub fn split_rows(&self, at: usize) -> Result<(Tensor, Tensor), ShapeError> {
-        if self.rank() != 2 || at > self.shape()[0] {
-            return Err(ShapeError::new("split_rows", self.shape(), &[at]));
-        }
-        let cols = self.shape()[1];
-        let (a, b) = self.as_slice().split_at(at * cols);
-        Ok((
-            Tensor::from_vec(vec![at, cols], a.to_vec())?,
-            Tensor::from_vec(vec![self.shape()[0] - at, cols], b.to_vec())?,
-        ))
-    }
-
-    /// Outer product of two rank-1 tensors: `out[i][j] = a[i] * b[j]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless both tensors are rank 1.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor, ShapeError> {
-        if self.rank() != 1 || other.rank() != 1 {
-            return Err(ShapeError::new("outer", self.shape(), other.shape()));
-        }
-        let (m, n) = (self.len(), other.len());
-        let mut data = Vec::with_capacity(m * n);
-        for &a in self.as_slice() {
-            for &b in other.as_slice() {
-                data.push(a * b);
-            }
-        }
-        Tensor::from_vec(vec![m, n], data)
-    }
-
-    /// Dot product of two rank-1 tensors.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless both are rank 1 of equal length.
-    pub fn dot(&self, other: &Tensor) -> Result<f32, ShapeError> {
-        if self.rank() != 1 || other.rank() != 1 || self.len() != other.len() {
-            return Err(ShapeError::new("dot", self.shape(), other.shape()));
-        }
-        Ok(self
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(a, b)| a * b)
-            .sum())
-    }
-
-    /// Trace of a square rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless the tensor is a square matrix.
-    pub fn trace(&self) -> Result<f32, ShapeError> {
-        if self.rank() != 2 || self.shape()[0] != self.shape()[1] {
-            return Err(ShapeError::new("trace", self.shape(), &[]));
-        }
-        let n = self.shape()[0];
-        Ok((0..n).map(|i| self.as_slice()[i * n + i]).sum())
-    }
-
-    /// Diagonal of a rank-2 tensor (length `min(rows, cols)`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless the tensor is rank 2.
-    pub fn diag(&self) -> Result<Tensor, ShapeError> {
-        if self.rank() != 2 {
-            return Err(ShapeError::new("diag", self.shape(), &[2]));
-        }
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let k = m.min(n);
-        let data: Vec<f32> = (0..k).map(|i| self.as_slice()[i * n + i]).collect();
-        Tensor::from_vec(vec![k], data)
-    }
-
-    /// Column standard deviations (biased) of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tensor is not rank 2.
-    pub fn std_axis0(&self) -> Result<Tensor, ShapeError> {
-        Ok(self.var_axis0()?.sqrt_clamped())
-    }
-
-    /// Column maxima of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tensor is not rank 2.
-    pub fn max_axis0(&self) -> Result<Tensor, ShapeError> {
-        if self.rank() != 2 {
-            return Err(ShapeError::new("max_axis0", self.shape(), &[2]));
-        }
-        let n = self.shape()[1];
-        let mut out = vec![f32::NEG_INFINITY; n];
-        for row in self.as_slice().chunks(n) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o = o.max(v);
-            }
-        }
-        Tensor::from_vec(vec![n], out)
-    }
-
-    /// Column minima of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tensor is not rank 2.
-    pub fn min_axis0(&self) -> Result<Tensor, ShapeError> {
-        if self.rank() != 2 {
-            return Err(ShapeError::new("min_axis0", self.shape(), &[2]));
-        }
-        let n = self.shape()[1];
-        let mut out = vec![f32::INFINITY; n];
-        for row in self.as_slice().chunks(n) {
-            for (o, &v) in out.iter_mut().zip(row) {
-                *o = o.min(v);
-            }
-        }
-        Tensor::from_vec(vec![n], out)
-    }
-
-    /// Pearson correlation between two rank-1 tensors (`None` if either is
-    /// constant or lengths differ).
-    pub fn correlation(&self, other: &Tensor) -> Option<f32> {
-        if self.rank() != 1 || other.rank() != 1 || self.len() != other.len() || self.is_empty() {
-            return None;
-        }
-        let n = self.len() as f32;
-        let (ma, mb) = (self.mean(), other.mean());
-        let mut cov = 0.0f32;
-        let mut va = 0.0f32;
-        let mut vb = 0.0f32;
-        for (&a, &b) in self.as_slice().iter().zip(other.as_slice()) {
-            cov += (a - ma) * (b - mb);
-            va += (a - ma) * (a - ma);
-            vb += (b - mb) * (b - mb);
-        }
-        if va < 1e-12 * n || vb < 1e-12 * n {
-            return None;
-        }
-        Some(cov / (va.sqrt() * vb.sqrt()))
     }
 }
 
@@ -311,88 +115,6 @@ mod tests {
     #[should_panic(expected = "lo <= hi")]
     fn clamp_bad_range_panics() {
         t(vec![1], vec![0.0]).clamp(1.0, -1.0);
-    }
-
-    #[test]
-    fn safe_log_and_sqrt() {
-        let a = t(vec![3], vec![-1.0, 0.0, 1.0]);
-        let l = a.ln_clamped(1e-9);
-        assert!(l.as_slice()[0].is_finite());
-        assert_eq!(l.as_slice()[2], 0.0);
-        let s = a.sqrt_clamped();
-        assert_eq!(s.as_slice(), &[0.0, 0.0, 1.0]);
-        assert_eq!(a.powf(2.0).as_slice(), &[1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn concat_and_split_rows_round_trip() {
-        let a = t(vec![2, 2], vec![1., 2., 3., 4.]);
-        let b = t(vec![1, 2], vec![5., 6.]);
-        let joined = Tensor::concat_rows(&[&a, &b]).unwrap();
-        assert_eq!(joined.shape(), &[3, 2]);
-        let (top, bottom) = joined.split_rows(2).unwrap();
-        assert_eq!(top, a);
-        assert_eq!(bottom, b);
-    }
-
-    #[test]
-    fn concat_rejects_mismatched_widths() {
-        let a = t(vec![1, 2], vec![1., 2.]);
-        let b = t(vec![1, 3], vec![1., 2., 3.]);
-        assert!(Tensor::concat_rows(&[&a, &b]).is_err());
-        assert!(Tensor::concat_rows(&[]).is_err());
-    }
-
-    #[test]
-    fn split_bounds_checked() {
-        let a = t(vec![2, 2], vec![1., 2., 3., 4.]);
-        assert!(a.split_rows(3).is_err());
-        let (empty, all) = a.split_rows(0).unwrap();
-        assert_eq!(empty.shape(), &[0, 2]);
-        assert_eq!(all, a);
-    }
-
-    #[test]
-    fn outer_and_dot() {
-        let a = t(vec![2], vec![1., 2.]);
-        let b = t(vec![3], vec![3., 4., 5.]);
-        let o = a.outer(&b).unwrap();
-        assert_eq!(o.shape(), &[2, 3]);
-        assert_eq!(o.as_slice(), &[3., 4., 5., 6., 8., 10.]);
-        assert_eq!(a.dot(&t(vec![2], vec![10., 100.])).unwrap(), 210.0);
-        assert!(a.dot(&b).is_err());
-    }
-
-    #[test]
-    fn trace_and_diag() {
-        let m = t(vec![2, 2], vec![1., 9., 9., 2.]);
-        assert_eq!(m.trace().unwrap(), 3.0);
-        assert_eq!(m.diag().unwrap().as_slice(), &[1., 2.]);
-        let rect = t(vec![2, 3], vec![1., 0., 0., 0., 2., 0.]);
-        assert!(rect.trace().is_err());
-        assert_eq!(rect.diag().unwrap().as_slice(), &[1., 2.]);
-    }
-
-    #[test]
-    fn axis_extrema_and_std() {
-        let m = t(vec![2, 2], vec![1., -5., 3., 7.]);
-        assert_eq!(m.max_axis0().unwrap().as_slice(), &[3., 7.]);
-        assert_eq!(m.min_axis0().unwrap().as_slice(), &[1., -5.]);
-        let s = m.std_axis0().unwrap();
-        assert!((s.as_slice()[0] - 1.0).abs() < 1e-5);
-        assert!((s.as_slice()[1] - 6.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn correlation_detects_linear_relation() {
-        let a = t(vec![4], vec![1., 2., 3., 4.]);
-        let b = t(vec![4], vec![2., 4., 6., 8.]);
-        assert!((a.correlation(&b).unwrap() - 1.0).abs() < 1e-5);
-        let c = t(vec![4], vec![-1., -2., -3., -4.]);
-        assert!((a.correlation(&c).unwrap() + 1.0).abs() < 1e-5);
-        let constant = t(vec![4], vec![5., 5., 5., 5.]);
-        assert_eq!(a.correlation(&constant), None);
-        assert_eq!(a.correlation(&t(vec![3], vec![0.; 3])), None);
     }
 
     #[test]

@@ -113,20 +113,6 @@ impl Tensor {
         Tensor::from_vec(vec![n], out)
     }
 
-    /// Row sums of a rank-2 tensor, as a rank-1 tensor of length `m`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the tensor is not rank 2.
-    pub fn sum_axis1(&self) -> Result<Tensor, ShapeError> {
-        if self.rank() != 2 {
-            return Err(ShapeError::new("sum_axis1", self.shape(), &[2]));
-        }
-        let n = self.shape()[1];
-        let out: Vec<f32> = self.as_slice().chunks(n).map(|r| r.iter().sum()).collect();
-        Tensor::from_vec(vec![self.shape()[0]], out)
-    }
-
     /// Row-wise numerically-stable softmax of a rank-2 tensor.
     ///
     /// # Errors
@@ -225,12 +211,6 @@ mod tests {
             let par = with_exec(cfg, || a.sum_axis0().unwrap());
             assert_eq!(par.as_slice(), serial.as_slice(), "sum_axis0 @ {workers}");
         }
-    }
-
-    #[test]
-    fn axis1_sums() {
-        let a = t(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(a.sum_axis1().unwrap().as_slice(), &[6., 15.]);
     }
 
     #[test]

@@ -190,20 +190,6 @@ impl Tensor {
         })
     }
 
-    /// Reinterprets the tensor in place with a new shape of equal length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the element counts differ.
-    pub fn reshape_in_place(&mut self, shape: Vec<usize>) -> Result<(), ShapeError> {
-        let expect: usize = shape.iter().product();
-        if expect != self.data.len() {
-            return Err(ShapeError::new("reshape", &self.shape, &shape));
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
