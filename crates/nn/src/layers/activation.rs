@@ -119,10 +119,28 @@ impl Activation {
     }
 }
 
+/// Evaluates `$body` with `$k` bound to `$kind` as a constant variant, so
+/// the `match` inside [`ActivationKind::apply`] and
+/// [`ActivationKind::derivative`] folds away once per call instead of
+/// running per element, and loops like ReLU's vectorise.
+macro_rules! with_kind {
+    ($kind:expr, |$k:ident| $body:expr) => {
+        with_kind!($kind, $k, $body; Relu, Tanh, Sigmoid, HardSigmoid, LeakyRelu, Elu)
+    };
+    ($kind:expr, $k:ident, $body:expr; $($variant:ident),*) => {
+        match $kind {
+            $(ActivationKind::$variant => {
+                let $k = ActivationKind::$variant;
+                $body
+            })*
+        }
+    };
+}
+
 impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         self.input = Some(input.clone());
-        input.map(|v| self.kind.apply(v))
+        with_kind!(self.kind, |k| input.map(|v| k.apply(v)))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -130,9 +148,9 @@ impl Layer for Activation {
             .input
             .as_ref()
             .expect("activation backward before forward");
-        input
-            .zip_map(grad_out, |x, g| g * self.kind.derivative(x))
-            .expect("activation gradient shape")
+        with_kind!(self.kind, |k| input
+            .zip_map(grad_out, |x, g| g * k.derivative(x)))
+        .expect("activation gradient shape")
     }
 
     fn name(&self) -> &'static str {

@@ -41,7 +41,8 @@ pub struct BatchNorm {
 
 #[derive(Debug)]
 struct Cache {
-    xhat: Tensor,
+    /// `[b·t, c]` normalised input.
+    xhat: Vec<f32>,
     inv_std: Vec<f32>,
     input_shape: Vec<usize>,
 }
@@ -94,25 +95,58 @@ impl BatchNorm {
 }
 
 impl Layer for BatchNorm {
+    /// Train mode makes three passes over the `[b·t, c]` input: the column
+    /// sums for the mean, the squared deviations for the variance, and one
+    /// that writes `xhat` and `y` together. Each keeps the operands and
+    /// order of `mean_axis0` (sum, then `× 1/m`), `var_axis0` (sum of
+    /// `d·d`, then `/ m`) and the per-element formulas, so every bit is as
+    /// before. Eval mode is one pass with `√(var + eps)` taken once per
+    /// channel.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.channels(), "batchnorm channel mismatch");
-        let flat = input.reshape(vec![b * t, c]).expect("bn flatten");
+        let x = input.as_slice();
+        let gamma = self.gamma.value.as_slice();
+        let beta = self.beta.value.as_slice();
+        let mut y = vec![0.0f32; x.len()];
 
         match mode {
             Mode::Train => {
-                let mean = flat.mean_axis0().expect("bn mean");
-                let var = flat.var_axis0().expect("bn var");
-                let inv_std: Vec<f32> = var
-                    .as_slice()
-                    .iter()
-                    .map(|v| 1.0 / (v + self.eps).sqrt())
-                    .collect();
+                let m = (b * t).max(1) as f32;
+                let mut mean = vec![0.0f32; c];
+                for row in x.chunks_exact(c) {
+                    for (s, &v) in mean.iter_mut().zip(row) {
+                        *s += v;
+                    }
+                }
+                let inv_m = 1.0 / m;
+                mean.iter_mut().for_each(|s| *s *= inv_m);
+                let mut var = vec![0.0f32; c];
+                for row in x.chunks_exact(c) {
+                    for ((o, &v), &mu) in var.iter_mut().zip(row).zip(&mean) {
+                        let d = v - mu;
+                        *o += d * d;
+                    }
+                }
+                var.iter_mut().for_each(|v| *v /= m);
+                let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
 
-                let mut xhat = flat.clone();
-                for row in xhat.as_mut_slice().chunks_mut(c) {
-                    for ((v, &mu), &is) in row.iter_mut().zip(mean.as_slice()).zip(&inv_std) {
-                        *v = (*v - mu) * is;
+                let mut xhat = vec![0.0f32; x.len()];
+                for ((xrow, hrow), yrow) in x
+                    .chunks_exact(c)
+                    .zip(xhat.chunks_exact_mut(c))
+                    .zip(y.chunks_exact_mut(c))
+                {
+                    for (((((&v, h), o), &mu), &is), (&g, &be)) in xrow
+                        .iter()
+                        .zip(hrow)
+                        .zip(yrow)
+                        .zip(&mean)
+                        .zip(&inv_std)
+                        .zip(gamma.iter().zip(beta))
+                    {
+                        *h = (v - mu) * is;
+                        *o = *h * g + be;
                     }
                 }
 
@@ -120,99 +154,100 @@ impl Layer for BatchNorm {
                 // normalisation used here; the distinction only matters for
                 // tiny batches).
                 let mom = self.momentum;
-                for (r, &bm) in self
-                    .running_mean
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(mean.as_slice())
-                {
+                for (r, &bm) in self.running_mean.as_mut_slice().iter_mut().zip(&mean) {
                     *r = mom * *r + (1.0 - mom) * bm;
                 }
-                for (r, &bv) in self
-                    .running_var
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(var.as_slice())
-                {
+                for (r, &bv) in self.running_var.as_mut_slice().iter_mut().zip(&var) {
                     *r = mom * *r + (1.0 - mom) * bv;
-                }
-
-                let mut y = xhat.clone();
-                for row in y.as_mut_slice().chunks_mut(c) {
-                    for ((v, &g), &be) in row
-                        .iter_mut()
-                        .zip(self.gamma.value.as_slice())
-                        .zip(self.beta.value.as_slice())
-                    {
-                        *v = *v * g + be;
-                    }
                 }
                 self.cache = Some(Cache {
                     xhat,
                     inv_std,
                     input_shape: input.shape().to_vec(),
                 });
-                y.reshape(input.shape().to_vec()).expect("bn unflatten")
             }
             Mode::Eval => {
-                let mut y = flat;
-                for row in y.as_mut_slice().chunks_mut(c) {
-                    for (j, v) in row.iter_mut().enumerate() {
-                        let mu = self.running_mean.as_slice()[j];
-                        let var = self.running_var.as_slice()[j];
-                        let g = self.gamma.value.as_slice()[j];
-                        let be = self.beta.value.as_slice()[j];
-                        *v = (*v - mu) / (var + self.eps).sqrt() * g + be;
+                let sd: Vec<f32> = self
+                    .running_var
+                    .as_slice()
+                    .iter()
+                    .map(|var| (var + self.eps).sqrt())
+                    .collect();
+                let mu = self.running_mean.as_slice();
+                for (xrow, yrow) in x.chunks_exact(c).zip(y.chunks_exact_mut(c)) {
+                    for (((&v, o), (&mu, &sd)), (&g, &be)) in xrow
+                        .iter()
+                        .zip(yrow)
+                        .zip(mu.iter().zip(&sd))
+                        .zip(gamma.iter().zip(beta))
+                    {
+                        *o = (v - mu) / sd * g + be;
                     }
                 }
                 self.cache = None;
-                y.reshape(input.shape().to_vec()).expect("bn unflatten")
             }
         }
+        Tensor::from_vec(input.shape().to_vec(), y).expect("bn output shape")
     }
 
+    /// One reduction pass for `Σdy` and `Σdy·xhat`, then one `dx` pass with
+    /// the per-channel factor `(gamma · inv_std) / m` hoisted: the value
+    /// the old per-element `gamma · inv_std / m · (…)` formed first.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self
             .cache
             .as_ref()
             .expect("batchnorm backward requires a training-mode forward");
         let c = self.channels();
-        let shape = cache.input_shape.clone();
-        let (b, t, _) = btc(&shape);
+        let (b, t, _) = btc(&cache.input_shape);
         let m = (b * t) as f32;
-        let dy = grad_out.reshape(vec![b * t, c]).expect("bn grad flatten");
+        let dy = grad_out.as_slice();
+        assert_eq!(dy.len(), cache.xhat.len(), "bn grad length");
 
         // Per-channel reductions.
         let mut sum_dy = vec![0.0f32; c];
         let mut sum_dy_xhat = vec![0.0f32; c];
-        for (row, xrow) in dy.as_slice().chunks(c).zip(cache.xhat.as_slice().chunks(c)) {
-            for j in 0..c {
-                sum_dy[j] += row[j];
-                sum_dy_xhat[j] += row[j] * xrow[j];
+        for (row, xrow) in dy.chunks_exact(c).zip(cache.xhat.chunks_exact(c)) {
+            for (((s, sx), &d), &h) in sum_dy.iter_mut().zip(&mut sum_dy_xhat).zip(row).zip(xrow) {
+                *s += d;
+                *sx += d * h;
             }
         }
 
         // Parameter gradients.
-        for j in 0..c {
-            self.gamma.grad.as_mut_slice()[j] += sum_dy_xhat[j];
-            self.beta.grad.as_mut_slice()[j] += sum_dy[j];
+        for (g, &s) in self.gamma.grad.as_mut_slice().iter_mut().zip(&sum_dy_xhat) {
+            *g += s;
+        }
+        for (g, &s) in self.beta.grad.as_mut_slice().iter_mut().zip(&sum_dy) {
+            *g += s;
         }
 
         // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
-        let mut dx = Tensor::zeros(vec![(m as usize), c]);
+        let k: Vec<f32> = self
+            .gamma
+            .value
+            .as_slice()
+            .iter()
+            .zip(&cache.inv_std)
+            .map(|(&g, &is)| g * is / m)
+            .collect();
+        let mut dx = vec![0.0f32; dy.len()];
         for ((dxrow, dyrow), xrow) in dx
-            .as_mut_slice()
-            .chunks_mut(c)
-            .zip(dy.as_slice().chunks(c))
-            .zip(cache.xhat.as_slice().chunks(c))
+            .chunks_exact_mut(c)
+            .zip(dy.chunks_exact(c))
+            .zip(cache.xhat.chunks_exact(c))
         {
-            for j in 0..c {
-                let g = self.gamma.value.as_slice()[j];
-                dxrow[j] = g * cache.inv_std[j] / m
-                    * (m * dyrow[j] - sum_dy[j] - xrow[j] * sum_dy_xhat[j]);
+            for ((((o, &d), &h), &k), (&s, &sx)) in dxrow
+                .iter_mut()
+                .zip(dyrow)
+                .zip(xrow)
+                .zip(&k)
+                .zip(sum_dy.iter().zip(&sum_dy_xhat))
+            {
+                *o = k * (m * d - s - h * sx);
             }
         }
-        dx.reshape(shape).expect("bn grad unflatten")
+        Tensor::from_vec(cache.input_shape.clone(), dx).expect("bn grad shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

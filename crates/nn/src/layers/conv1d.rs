@@ -1,6 +1,6 @@
 //! 1-D convolution with "same" padding.
 
-use super::btc;
+use super::{add_col_sums, btc};
 use crate::{Layer, Mode, Param};
 use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
 
@@ -31,7 +31,8 @@ pub struct Conv1d {
     kernel: usize,
     in_channels: usize,
     out_channels: usize,
-    input: Option<Tensor>,
+    /// Shape of the last forward's input; `cache.col` holds its data.
+    input_shape: Option<Vec<usize>>,
     cache: ConvCache,
 }
 
@@ -90,7 +91,7 @@ impl Conv1d {
             kernel,
             in_channels,
             out_channels,
-            input: None,
+            input_shape: None,
             cache: ConvCache::default(),
         }
     }
@@ -290,9 +291,8 @@ impl Layer for Conv1d {
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
-        let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
         self.ensure_spans(t);
-        self.fill_col(rank3.as_slice(), b, t);
+        self.fill_col(input.as_slice(), b, t);
         let kke = self.col_width();
         // The executed live-tap GEMM, not the nominal `kernel` taps: this
         // is the conv share of `tensor.matmul_flops`, not an addition.
@@ -325,8 +325,8 @@ impl Layer for Conv1d {
         let mut out =
             Tensor::from_vec(vec![b * t, self.out_channels], out).expect("conv out shape");
         out.add_row_bias(&self.bias.value).expect("conv bias");
-        self.input = Some(rank3);
-        out.reshape(vec![b, t, self.out_channels])
+        self.input_shape = Some(input.shape().to_vec());
+        out.into_shape(vec![b, t, self.out_channels])
             .expect("conv out")
     }
 
@@ -335,31 +335,25 @@ impl Layer for Conv1d {
     /// kernel's gathers excluded them), `dX` is one `dY·Wᵀ` product
     /// scattered back through the col layout in tap order.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.input.as_ref().expect("conv1d backward before forward");
-        let (b, t, c) = btc(input.shape());
+        let shape = self
+            .input_shape
+            .clone()
+            .expect("conv1d backward before forward");
+        let (b, t, c) = btc(&shape);
         let pad = self.pad_left();
         let kke = self.col_width();
         let (tap_lo, tap_hi) = (self.cache.tap_lo, self.cache.tap_hi);
-        let dy = grad_out
-            .reshape(vec![b * t, self.out_channels])
-            .expect("conv grad flatten");
+        let dy = grad_out.as_slice();
+        assert_eq!(dy.len(), b * t * self.out_channels, "conv grad length");
 
         // Bias gradient: sum of dy over all positions.
-        let db = dy.sum_axis0().expect("conv db");
-        self.bias.grad.add_assign(&db).expect("db shape");
+        add_col_sums(dy, self.out_channels, 0, self.bias.grad.as_mut_slice());
 
         // dW = colᵀ · dY, accumulated into the live-tap rows of the
         // parameter gradient (taps outside the union read padding
         // everywhere, so their gradient contribution is exactly zero).
         let mut dw = workspace::take(kke * self.out_channels);
-        pack::matmul_at_into(
-            &self.cache.col,
-            dy.as_slice(),
-            b * t,
-            kke,
-            self.out_channels,
-            &mut dw,
-        );
+        pack::matmul_at_into(&self.cache.col, dy, b * t, kke, self.out_channels, &mut dw);
         let g0 = tap_lo * c * self.out_channels;
         for (d, &s) in self.weight.grad.as_mut_slice()[g0..]
             .iter_mut()
@@ -372,7 +366,7 @@ impl Layer for Conv1d {
         // weight is already the panel (n×k) layout matmul_bt consumes.
         let mut dcol = workspace::take(b * t * kke);
         pack::gemm_bt(
-            dy.as_slice(),
+            dy,
             self.weight_live(),
             b * t,
             self.out_channels,
@@ -401,7 +395,7 @@ impl Layer for Conv1d {
                 }
             }
         }
-        dx.reshape(input.shape().to_vec()).expect("conv dx shape")
+        dx.into_shape(shape).expect("conv dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

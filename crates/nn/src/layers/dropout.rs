@@ -58,19 +58,20 @@ impl Layer for Dropout {
         }
         let keep = 1.0 - self.rate;
         let scale = 1.0 / keep;
-        let mask_data: Vec<f32> = (0..input.len())
-            .map(|_| {
-                if self.rng.uniform() < self.rate {
-                    0.0
-                } else {
-                    scale
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(input.shape().to_vec(), mask_data).expect("mask shape");
-        let out = input.zip_map(&mask, |x, m| x * m).expect("mask shape");
-        self.mask = Some(mask);
-        out
+        // One uniform per element in row-major order, as ever. The mask is
+        // `(u >= rate) · scale`: 0.0 or `scale`, the bits a branch would
+        // pick, without a branch that mispredicts on about half the
+        // elements. Mask and output are written in the same pass.
+        let x = input.as_slice();
+        let mut mask = vec![0.0f32; x.len()];
+        let mut out = vec![0.0f32; x.len()];
+        for ((m, o), &v) in mask.iter_mut().zip(&mut out).zip(x) {
+            *m = (self.rng.uniform() >= self.rate) as u32 as f32 * scale;
+            *o = v * *m;
+        }
+        let shape = input.shape().to_vec();
+        self.mask = Some(Tensor::from_vec(shape.clone(), mask).expect("mask shape"));
+        Tensor::from_vec(shape, out).expect("mask shape")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

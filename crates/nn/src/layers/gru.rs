@@ -1,6 +1,6 @@
 //! Gated recurrent unit.
 
-use super::btc;
+use super::{add_col_sums, btc};
 use crate::{ActivationKind, Layer, Mode, Param};
 use pelican_tensor::workspace::{self, WsBuf};
 use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
@@ -217,20 +217,6 @@ fn add_col_blocks(src: &[f32], rows: usize, u: usize, grads: &mut [&mut [f32]]) 
                 *d += v;
             }
         }
-    }
-}
-
-/// Adds the column sums of `g` (`[rows, u]`) to `grad`, summing rows in
-/// ascending order into a zeroed buffer first, like `sum_axis0`.
-fn add_col_sums(g: &[f32], rows: usize, u: usize, grad: &mut [f32]) {
-    let mut sum = workspace::take(u);
-    for i in 0..rows {
-        for (s, &v) in sum.iter_mut().zip(&g[i * u..(i + 1) * u]) {
-            *s += v;
-        }
-    }
-    for (d, &s) in grad.iter_mut().zip(sum.iter()) {
-        *d += s;
     }
 }
 
@@ -539,29 +525,49 @@ impl Gru {
                 }
             }
         });
-        let kept = if train { b * u } else { 0 };
-        let (mut z, mut z_pre) = (vec![0.0f32; kept], vec![0.0f32; kept]);
+        // Update gate and output: z_pre = (x·Wz + 0.0) + bz, z = hardσ(z_pre),
+        // h = (z·0.0) + ((1 − z)·h̃), row by row; Train also keeps z and
+        // z_pre for the backward.
         let mut out = vec![0.0f32; b * u];
-        for bi in 0..b {
-            let row = &xw[bi * 2 * u..(bi + 1) * 2 * u];
-            for j in 0..u {
-                let i = bi * u + j;
-                let zp = (row[j] + 0.0) + bz[j];
-                let zv = ActivationKind::HardSigmoid.apply(zp);
-                out[i] = (zv * 0.0) + ((1.0 - zv) * hh[i]);
-                if train {
-                    z_pre[i] = zp;
-                    z[i] = zv;
+        let rows = out
+            .chunks_exact_mut(u)
+            .zip(hh.chunks_exact(u))
+            .zip(xw.chunks_exact(2 * u));
+        let cache = if train {
+            let (mut z, mut z_pre) = (vec![0.0f32; b * u], vec![0.0f32; b * u]);
+            for (((orow, hrow), xrow), (zrow, zprow)) in
+                rows.zip(z.chunks_exact_mut(u).zip(z_pre.chunks_exact_mut(u)))
+            {
+                for ((((o, &h), &xv), &bv), (zo, zpo)) in orow
+                    .iter_mut()
+                    .zip(hrow)
+                    .zip(&xrow[..u])
+                    .zip(bz)
+                    .zip(zrow.iter_mut().zip(zprow))
+                {
+                    let zp = (xv + 0.0) + bv;
+                    let zv = ActivationKind::HardSigmoid.apply(zp);
+                    *o = (zv * 0.0) + ((1.0 - zv) * h);
+                    *zpo = zp;
+                    *zo = zv;
                 }
             }
-        }
+            Some(GruCache::Seq1 {
+                x: input.clone(),
+                z,
+                hh: hh.into_kept(),
+                z_pre,
+            })
+        } else {
+            for ((orow, hrow), xrow) in rows {
+                for (((o, &h), &xv), &bv) in orow.iter_mut().zip(hrow).zip(&xrow[..u]).zip(bz) {
+                    let zv = ActivationKind::HardSigmoid.apply((xv + 0.0) + bv);
+                    *o = (zv * 0.0) + ((1.0 - zv) * h);
+                }
+            }
+            None
+        };
         let out = Tensor::from_vec(vec![b, 1, u], out).expect("gru seq1 output");
-        let cache = train.then(|| GruCache::Seq1 {
-            x: input.clone(),
-            z,
-            hh: hh.into_kept(),
-            z_pre,
-        });
         (out, cache)
     }
 
@@ -693,18 +699,33 @@ impl Gru {
         b: usize,
     ) -> Option<Vec<f32>> {
         let (c, u) = (self.in_channels, self.units);
-        let mut dzp = workspace::take(b * u);
-        let mut dhhp = workspace::take(b * u);
-        for i in 0..b * u {
-            let g = dy[i] + 0.0;
-            let dz = (g * 0.0) - (g * hh[i]);
-            let dhh = g * (1.0 - z[i]);
-            dhhp[i] = dhh * (1.0 - hh[i] * hh[i]);
-            dzp[i] = dz * ActivationKind::HardSigmoid.derivative(z_pre[i]);
+        // g[bi·2u ..] = [dz_pre | dh̃_pre], the interleaved operand of both
+        // GEMMs, written in place.
+        let mut g = workspace::take(b * 2 * u);
+        let rows = (z.chunks_exact(u).zip(hh.chunks_exact(u)))
+            .zip(z_pre.chunks_exact(u).zip(dy.chunks_exact(u)));
+        for (grow, ((zrow, hrow), (zprow, dyrow))) in g.chunks_exact_mut(2 * u).zip(rows) {
+            let (gz, gh) = grow.split_at_mut(u);
+            for ((((dzp, dhhp), (&zv, &h)), &zp), &d) in gz
+                .iter_mut()
+                .zip(gh)
+                .zip(zrow.iter().zip(hrow))
+                .zip(zprow)
+                .zip(dyrow)
+            {
+                let g = d + 0.0;
+                let dz = (g * 0.0) - (g * h);
+                let dhh = g * (1.0 - zv);
+                *dhhp = dhh * (1.0 - h * h);
+                *dzp = dz * ActivationKind::HardSigmoid.derivative(zp);
+            }
         }
+        let dhh_max = g
+            .chunks_exact(2 * u)
+            .try_fold(0.0f32, |m, row| max_abs(&row[u..]).map(|r| m.max(r)));
         let exact = max_abs(self.wxr.value.as_slice()).is_some()
             && matches!(
-                (max_abs(self.whh.value.as_slice()), max_abs(&dhhp)),
+                (max_abs(self.whh.value.as_slice()), dhh_max),
                 (Some(w), Some(g)) if bounded(u, g, w)
             );
         if !exact {
@@ -716,8 +737,6 @@ impl Gru {
         let (wz, wh) = (self.wxz.value.as_slice(), self.wxh.value.as_slice());
         fit(&mut self.scratch.w_cat, c * 2 * u);
         concat_cols(&[wz, wh], c, u, &mut self.scratch.w_cat);
-        let mut g = workspace::take(b * 2 * u);
-        concat_cols(&[&dzp, &dhhp], b, u, &mut g);
         let mut dx = vec![0.0f32; b * c];
         pack::gemm_bt(&g, &self.scratch.w_cat, b, 2 * u, c, u, &mut dx);
         let mut dw = workspace::take(c * 2 * u);
@@ -728,8 +747,8 @@ impl Gru {
             u,
             &mut [self.wxz.grad.as_mut_slice(), self.wxh.grad.as_mut_slice()],
         );
-        add_col_sums(&dzp, b, u, self.bz.grad.as_mut_slice());
-        add_col_sums(&dhhp, b, u, self.bh.grad.as_mut_slice());
+        add_col_sums(&g, 2 * u, 0, self.bz.grad.as_mut_slice());
+        add_col_sums(&g, 2 * u, u, self.bh.grad.as_mut_slice());
         Some(dx)
     }
 
@@ -849,9 +868,9 @@ impl Gru {
             duh.fill(0.0);
             pack::matmul_at_into(&rh, &dhhp, b, u, u, &mut duh);
             add_col_blocks(&duh, u, u, &mut [self.whh.grad.as_mut_slice()]);
-            add_col_sums(&dzp, b, u, self.bz.grad.as_mut_slice());
-            add_col_sums(&drp, b, u, self.br.grad.as_mut_slice());
-            add_col_sums(&dhhp, b, u, self.bh.grad.as_mut_slice());
+            add_col_sums(&dzp, u, 0, self.bz.grad.as_mut_slice());
+            add_col_sums(&drp, u, 0, self.br.grad.as_mut_slice());
+            add_col_sums(&dhhp, u, 0, self.bh.grad.as_mut_slice());
 
             carry.copy_from_slice(&dh_prev);
         }
@@ -890,19 +909,18 @@ impl Layer for Gru {
         let cache = self.cache.take().expect("gru backward before forward");
         let shape = self.input_shape.clone().expect("gru input shape");
         let (b, t, _) = btc(&shape);
-        let dy = grad_out
-            .reshape(vec![b * t, self.units])
-            .expect("gru grad flatten");
+        let dy = grad_out.as_slice();
+        assert_eq!(dy.len(), b * t * self.units, "gru grad length");
         let dx = match &cache {
-            GruCache::Steps(steps) => self.backward_steps(steps, dy.as_slice(), b, t),
+            GruCache::Steps(steps) => self.backward_steps(steps, dy, b, t),
             GruCache::Seq1 { x, z, hh, z_pre } => self
-                .backward_seq1(x.as_slice(), z, hh, z_pre, dy.as_slice(), b)
+                .backward_seq1(x.as_slice(), z, hh, z_pre, dy, b)
                 .unwrap_or_else(|| {
                     // A skipped product may be non-finite: rerun the step
                     // on the general path, which computes every product.
                     let (_, steps) = self.forward_steps(x, b, 1, Mode::Train);
                     let steps = steps.expect("gru train cache");
-                    self.backward_steps(&steps, dy.as_slice(), b, 1)
+                    self.backward_steps(&steps, dy, b, 1)
                 }),
         };
         self.cache = Some(cache);

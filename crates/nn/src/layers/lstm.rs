@@ -78,11 +78,6 @@ impl Lstm {
             input_shape: None,
         }
     }
-
-    /// Hidden width.
-    pub fn units(&self) -> usize {
-        self.units
-    }
 }
 
 const GATE_ACT: [ActivationKind; 4] = [

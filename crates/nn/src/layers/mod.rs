@@ -26,6 +26,22 @@ pub(crate) fn btc(shape: &[usize]) -> (usize, usize, usize) {
     }
 }
 
+/// Adds the column sums of columns `lo..lo + grad.len()` of the
+/// row-major `[rows, width]` matrix `src` to `grad`, summing rows in
+/// ascending order into a zeroed buffer first, like `Tensor::sum_axis0`
+/// followed by `add_assign`.
+pub(crate) fn add_col_sums(src: &[f32], width: usize, lo: usize, grad: &mut [f32]) {
+    let mut sum = pelican_tensor::workspace::take(grad.len());
+    for row in src.chunks_exact(width) {
+        for (s, &v) in sum.iter_mut().zip(&row[lo..]) {
+            *s += v;
+        }
+    }
+    for (d, &s) in grad.iter_mut().zip(sum.iter()) {
+        *d += s;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

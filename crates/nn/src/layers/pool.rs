@@ -26,8 +26,9 @@ use pelican_tensor::Tensor;
 #[derive(Debug)]
 pub struct MaxPool1d {
     pool: usize,
-    /// Flat input index of each selected maximum, per output element.
-    argmax: Option<Vec<usize>>,
+    /// Flat input index of each selected maximum, per output element;
+    /// empty at `pool == 1`, where each window is its own element.
+    argmax: Vec<usize>,
     input_shape: Option<Vec<usize>>,
 }
 
@@ -41,7 +42,7 @@ impl MaxPool1d {
         assert!(pool > 0, "pool size must be positive");
         Self {
             pool,
-            argmax: None,
+            argmax: Vec::new(),
             input_shape: None,
         }
     }
@@ -53,6 +54,9 @@ impl MaxPool1d {
 }
 
 impl Layer for MaxPool1d {
+    /// At `pool == 1` (the paper's sequence length) each window is one
+    /// element, so the `>` scan from −∞ reduces to `v.max(−∞)`: the same
+    /// value, with NaN mapped to −∞ as the scan maps it, in one pass.
     fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert!(
@@ -60,15 +64,22 @@ impl Layer for MaxPool1d {
             "sequence length {t} shorter than pool size {}",
             self.pool
         );
+        self.input_shape = Some(input.shape().to_vec());
         let t_out = t / self.pool;
         let x = input.as_slice();
+        if self.pool == 1 {
+            let out = x.iter().map(|v| v.max(f32::NEG_INFINITY)).collect();
+            return Tensor::from_vec(vec![b, t_out, c], out).expect("pool out shape");
+        }
         let mut out = vec![0.0f32; b * t_out * c];
         let mut argmax = vec![0usize; b * t_out * c];
         for bi in 0..b {
             for to in 0..t_out {
                 for ci in 0..c {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
+                    // A window with nothing above −∞ (all NaN or −∞) keeps
+                    // its first element, so its gradient stays inside it.
+                    let mut best_idx = (bi * t + to * self.pool) * c + ci;
                     for p in 0..self.pool {
                         let ti = to * self.pool + p;
                         let idx = (bi * t + ti) * c + ci;
@@ -83,20 +94,26 @@ impl Layer for MaxPool1d {
                 }
             }
         }
-        self.argmax = Some(argmax);
-        self.input_shape = Some(input.shape().to_vec());
+        self.argmax = argmax;
         Tensor::from_vec(vec![b, t_out, c], out).expect("pool out shape")
     }
 
+    /// At `pool == 1` every element routes its own gradient: `0.0 + g`,
+    /// which is the zeroed scatter-add's value and turns −0.0 into +0.0
+    /// as it does.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let argmax = self
-            .argmax
-            .as_ref()
+        let shape = self
+            .input_shape
+            .clone()
             .expect("maxpool backward before forward");
-        let shape = self.input_shape.clone().expect("input shape cached");
+        if self.pool == 1 {
+            let dx = grad_out.as_slice().iter().map(|g| 0.0 + g).collect();
+            return Tensor::from_vec(shape, dx).expect("pool grad shape");
+        }
         let mut dx = Tensor::zeros(shape);
-        for (g, &idx) in grad_out.as_slice().iter().zip(argmax) {
-            dx.as_mut_slice()[idx] += g;
+        let dxs = dx.as_mut_slice();
+        for (g, &idx) in grad_out.as_slice().iter().zip(&self.argmax) {
+            dxs[idx] += g;
         }
         dx
     }
@@ -216,6 +233,19 @@ mod tests {
         assert_eq!(pool.forward(&x, Mode::Eval).as_slice(), x.as_slice());
         let dx = pool.backward(&x);
         assert_eq!(dx.as_slice(), x.as_slice());
+    }
+
+    /// A window with nothing above −∞ sends its gradient to its own first
+    /// element, not to element 0 of the batch.
+    #[test]
+    fn all_nan_window_keeps_its_gradient() {
+        let mut pool = MaxPool1d::new(2);
+        let nan = f32::NAN;
+        let x = Tensor::from_vec(vec![2, 2, 1], vec![1., 5., nan, nan]).unwrap();
+        let y = pool.forward(&x, Mode::Train);
+        assert_eq!(y.as_slice(), &[5., f32::NEG_INFINITY]);
+        let dx = pool.backward(&Tensor::from_vec(vec![2, 1, 1], vec![10., 20.]).unwrap());
+        assert_eq!(dx.as_slice(), &[0., 10., 20., 0.]);
     }
 
     #[test]

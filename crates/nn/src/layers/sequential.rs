@@ -66,22 +66,23 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
+    /// The first layer reads `input` itself; only an empty stack copies it.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut x = input.clone();
+        let mut x: Option<Tensor> = None;
         for layer in &mut self.layers {
             let _span = pelican_observe::span(layer.name());
-            x = layer.forward(&x, mode);
+            x = Some(layer.forward(x.as_ref().unwrap_or(input), mode));
         }
-        x
+        x.unwrap_or_else(|| input.clone())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
+        let mut g: Option<Tensor> = None;
         for layer in self.layers.iter_mut().rev() {
             let _span = pelican_observe::span(layer.name());
-            g = layer.backward(&g);
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
         }
-        g
+        g.unwrap_or_else(|| grad_out.clone())
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

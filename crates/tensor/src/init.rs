@@ -38,6 +38,7 @@ impl SeededRng {
     }
 
     /// Uniform sample in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f32 {
         self.inner.gen::<f32>()
     }

@@ -190,6 +190,23 @@ impl Tensor {
         })
     }
 
+    /// Consumes the tensor and returns it with a new shape of equal length,
+    /// keeping its buffer: the shape change copies no data.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the element counts differ.
+    pub fn into_shape(self, shape: Vec<usize>) -> Result<Self, ShapeError> {
+        let expect: usize = shape.iter().product();
+        if expect != self.data.len() {
+            return Err(ShapeError::new("into_shape", &self.shape, &shape));
+        }
+        Ok(Self {
+            data: self.data,
+            shape,
+        })
+    }
+
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Self {
@@ -440,6 +457,22 @@ mod tests {
         assert_eq!(r.shape(), &[3, 2]);
         assert_eq!(r.as_slice(), t.as_slice());
         assert!(t.reshape(vec![5]).is_err());
+    }
+
+    #[test]
+    fn into_shape_moves_the_buffer() {
+        let t = Tensor::from_vec(vec![2, 3], (0..6).map(|v| v as f32).collect()).unwrap();
+        let ptr = t.as_slice().as_ptr();
+        let r = t.into_shape(vec![3, 1, 2]).unwrap();
+        assert_eq!(r.shape(), &[3, 1, 2]);
+        assert_eq!(r.as_slice().as_ptr(), ptr);
+        assert_eq!(r.as_slice(), &[0., 1., 2., 3., 4., 5.]);
+    }
+
+    #[test]
+    fn into_shape_rejects_a_length_mismatch() {
+        let err = Tensor::zeros(vec![2, 3]).into_shape(vec![5]).unwrap_err();
+        assert!(err.to_string().contains("into_shape"), "{err}");
     }
 
     #[test]

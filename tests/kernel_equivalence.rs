@@ -12,14 +12,19 @@
 //! and at every worker count, with the pool forced on so tiny shapes still
 //! exercise the parallel machinery. The four optimizers' zipped sweeps are
 //! checked the same way against the indexed loops they replaced
-//! (`support/optim_reference.rs`).
+//! (`support/optim_reference.rs`), and the one-pass `BatchNorm`,
+//! `Dropout`, `Activation` and `MaxPool1d` against the passes they
+//! replaced (`support/layer_reference.rs`), on inputs salted with signed
+//! zeros, subnormals, infinities and NaN payloads.
 
+#[path = "support/layer_reference.rs"]
+mod layer_reference;
 #[path = "support/optim_reference.rs"]
 mod optim_reference;
 
 use pelican::nn::fault::Corruption;
 use pelican::nn::optim::{AdaDelta, Adam, Optimizer, RmsProp, Sgd};
-use pelican::nn::{Conv1d, Gru, Layer, Mode, Param};
+use pelican::nn::{BatchNorm, Conv1d, Dropout, Gru, Layer, MaxPool1d, Mode, Param};
 use pelican::prelude::*;
 use pelican::runtime::with_exec;
 use pelican::tensor::{pack, SeededRng, Tensor};
@@ -647,4 +652,257 @@ proptest! {
             .collect();
         check_poisoned_gru(dims, &poison, seed)?;
     }
+}
+
+/// Bit-equal, shape included, except that any NaN matches any NaN: with
+/// two NaN operands an optimised build may commute an operation and keep
+/// the other payload, which Rust leaves unspecified. A NaN's position is
+/// part of the contract; in a debug build the payloads match too.
+fn assert_same_bits(got: &Tensor, want: &Tensor, case: &str, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{case}: {what} shape");
+    let at = first_mismatch(got.as_slice(), want.as_slice());
+    assert_eq!(
+        at,
+        None,
+        "{case}: {what} {:?} vs {:?}",
+        at.map(|i| got.as_slice()[i]),
+        at.map(|i| want.as_slice()[i])
+    );
+}
+
+/// The shapes the elementwise layers are checked at: rank 2 and rank 3
+/// with one and three time steps, batches from one row to a ragged 257,
+/// and channel counts on both sides of the 16-lane vector width, up to
+/// UNSW-NB15's 196.
+fn layer_shapes() -> Vec<Vec<usize>> {
+    let mut shapes = Vec::new();
+    for b in [1usize, 3, 64, 257] {
+        for c in [1usize, 15, 16, 17, 196] {
+            shapes.push(vec![b, c]);
+            shapes.push(vec![b, 1, c]);
+            shapes.push(vec![b, 3, c]);
+        }
+    }
+    shapes
+}
+
+/// Signed zeros and subnormals, which every layer must carry through.
+const FINITE_SPECIALS: [f32; 6] = [
+    0.0,
+    -0.0,
+    f32::from_bits(0x0000_0001),
+    f32::from_bits(0x8000_0001),
+    f32::from_bits(0x0040_0000),
+    f32::from_bits(0x807f_ffff),
+];
+
+/// Infinities and NaNs with distinct signs and payloads, one of them
+/// signalling.
+const NON_FINITE: [f32; 5] = [
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(0x7fc0_1234),
+    f32::from_bits(0xffc0_0005),
+    f32::from_bits(0x7f80_0001),
+];
+
+/// A normal-valued tensor with a finite special in about one element of
+/// eight and, when `non_finite`, three infinities or NaNs.
+fn salted_tensor(shape: &[usize], non_finite: bool, rng: &mut SeededRng) -> Tensor {
+    let len: usize = shape.iter().product();
+    let mut data = random_vec(len, rng);
+    for v in data.iter_mut() {
+        if rng.index(8) == 0 {
+            *v = FINITE_SPECIALS[rng.index(FINITE_SPECIALS.len())];
+        }
+    }
+    if non_finite {
+        for _ in 0..3 {
+            data[rng.index(len)] = NON_FINITE[rng.index(NON_FINITE.len())];
+        }
+    }
+    Tensor::from_vec(shape.to_vec(), data).unwrap()
+}
+
+/// Runs `check` for every layer shape, with and without non-finite
+/// values, at every worker count with the pool forced on. `check` gets
+/// the shape, the salted input, a second salted tensor of the same shape
+/// (an output gradient or a second batch) and the worker count.
+fn for_each_layer_case(seed: u64, check: impl Fn(&[usize], &Tensor, &Tensor, usize)) {
+    for (i, shape) in layer_shapes().iter().enumerate() {
+        for non_finite in [false, true] {
+            let mut rng = SeededRng::new(seed.wrapping_add(i as u64 * 2 + non_finite as u64));
+            let x = salted_tensor(shape, non_finite, &mut rng);
+            let other = salted_tensor(shape, non_finite, &mut rng);
+            for workers in WORKER_COUNTS {
+                let cfg = ExecConfig {
+                    workers,
+                    force_parallel: true,
+                };
+                with_exec(cfg, || check(shape, &x, &other, workers));
+            }
+        }
+    }
+}
+
+/// `BatchNorm` against its retained reference: a Train forward, its
+/// backward, and an Eval forward of a second batch through the updated
+/// running statistics. Output, `dx`, the `gamma`/`beta` gradients and the
+/// running statistics must be bit-equal.
+#[test]
+fn batchnorm_matches_reference() {
+    for_each_layer_case(9100, |shape, x, dy, workers| {
+        let c = *shape.last().unwrap();
+        let mut rng = SeededRng::new(c as u64);
+        let gamma = salted_tensor(&[c], false, &mut rng);
+        let beta = salted_tensor(&[c], false, &mut rng);
+        let mut want = layer_reference::BatchNormRef::new(c);
+        want.gamma = gamma.clone();
+        want.beta = beta.clone();
+        let mut bn = BatchNorm::new(c);
+        {
+            let mut ps = bn.params_mut();
+            ps[0].value = gamma;
+            ps[1].value = beta;
+        }
+        let case = format!("batchnorm {shape:?} @ {workers}");
+        let y = bn.forward(x, Mode::Train);
+        assert_eq!(y.shape(), shape, "{case}");
+        assert_same_bits(&y, &want.forward(x, Mode::Train), &case, "y");
+        let dx = bn.backward(dy);
+        assert_eq!(dx.shape(), shape, "{case}");
+        assert_same_bits(&dx, &want.backward(dy), &case, "dx");
+        let ps = bn.params_mut();
+        assert_same_bits(&ps[0].grad, &want.gamma_grad, &case, "dgamma");
+        assert_same_bits(&ps[1].grad, &want.beta_grad, &case, "dbeta");
+        assert_same_bits(bn.running_mean(), &want.running_mean, &case, "mean");
+        assert_same_bits(bn.running_var(), &want.running_var, &case, "var");
+        let y_eval = bn.forward(dy, Mode::Eval);
+        assert_eq!(y_eval.shape(), shape, "{case}");
+        assert_same_bits(&y_eval, &want.forward(dy, Mode::Eval), &case, "eval");
+    });
+}
+
+/// `Dropout` against its retained reference at rates 0, 0.3 and 0.6:
+/// two Train steps (so the RNG stream is compared across calls), then an
+/// Eval forward.
+#[test]
+fn dropout_matches_reference() {
+    for_each_layer_case(9200, |shape, x, dy, workers| {
+        for rate in [0.0f32, 0.3, 0.6] {
+            let seed = x.len() as u64;
+            let mut want = layer_reference::DropoutRef::new(rate, seed);
+            let mut d = Dropout::new(rate, seed);
+            let case = format!("dropout {rate} {shape:?} @ {workers}");
+            for step in 0..2 {
+                let y = d.forward(x, Mode::Train);
+                assert_eq!(y.shape(), shape, "{case}");
+                assert_same_bits(
+                    &y,
+                    &want.forward(x, Mode::Train),
+                    &format!("{case} step {step}"),
+                    "y",
+                );
+                let dx = d.backward(dy);
+                assert_same_bits(
+                    &dx,
+                    &want.backward(dy),
+                    &format!("{case} step {step}"),
+                    "dx",
+                );
+            }
+            let y = d.forward(x, Mode::Eval);
+            assert_same_bits(&y, &want.forward(x, Mode::Eval), &case, "eval");
+            assert_same_bits(&d.backward(dy), &want.backward(dy), &case, "eval dx");
+        }
+    });
+}
+
+/// FNV-1a over the bits of every mask element, in order.
+fn fnv1a(v: &[f32]) -> u64 {
+    v.iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, byte| {
+            (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The Table-I dropout masks (rate 0.6, a `[64, 196]` batch, two steps)
+/// for seeds 0–3 are pinned: a rewrite of the mask pass must draw the
+/// same uniforms in the same order and keep every mask bit.
+#[test]
+fn dropout_mask_stream_is_pinned() {
+    const PINNED: [u64; 4] = [
+        0xe7fb_6f46_94ce_5ed4,
+        0xb60a_9b97_752b_2075,
+        0xb45e_ddf3_3fe5_4f55,
+        0xc4aa_2f1f_9351_8015,
+    ];
+    let ones = Tensor::ones(vec![64, 196]);
+    for (seed, want) in PINNED.into_iter().enumerate() {
+        let mut d = Dropout::new(0.6, seed as u64);
+        let mut folds = Vec::new();
+        for _ in 0..2 {
+            // x = 1 makes the output the mask itself.
+            folds.extend(d.forward(&ones, Mode::Train).into_vec());
+        }
+        assert_eq!(fnv1a(&folds), want, "seed {seed}: {:#018x}", fnv1a(&folds));
+    }
+}
+
+/// Every `Activation` kind against its retained reference, forward and
+/// backward, in both modes.
+#[test]
+fn activations_match_reference() {
+    use pelican::nn::{Activation, ActivationKind};
+    let kinds = [
+        ActivationKind::Relu,
+        ActivationKind::Tanh,
+        ActivationKind::Sigmoid,
+        ActivationKind::HardSigmoid,
+        ActivationKind::LeakyRelu,
+        ActivationKind::Elu,
+    ];
+    for_each_layer_case(9300, |shape, x, dy, workers| {
+        for kind in kinds {
+            for mode in [Mode::Train, Mode::Eval] {
+                let mut want = layer_reference::ActivationRef::new(kind);
+                let mut a = Activation::new(kind);
+                let case = format!("{kind:?} {mode:?} {shape:?} @ {workers}");
+                let y = a.forward(x, mode);
+                assert_same_bits(&y, &want.forward(x, mode), &case, "y");
+                let dx = a.backward(dy);
+                assert_same_bits(&dx, &want.backward(dy), &case, "dx");
+            }
+        }
+    });
+}
+
+/// `MaxPool1d` against its retained reference at every pool size the
+/// sequence admits, forward and backward, in both modes.
+#[test]
+fn maxpool_matches_reference() {
+    for_each_layer_case(9400, |shape, x, dy, workers| {
+        let t = if shape.len() == 3 { shape[1] } else { 1 };
+        for pool in 1..=t {
+            for mode in [Mode::Train, Mode::Eval] {
+                let mut want = layer_reference::MaxPool1dRef::new(pool);
+                let mut p = MaxPool1d::new(pool);
+                let case = format!("maxpool {pool} {mode:?} {shape:?} @ {workers}");
+                let y = p.forward(x, mode);
+                let want_y = want.forward(x, mode);
+                assert_eq!(y.shape(), want_y.shape(), "{case}");
+                assert_same_bits(&y, &want_y, &case, "y");
+                // The output gradient has the output's shape.
+                let g = Tensor::from_vec(
+                    want_y.shape().to_vec(),
+                    dy.as_slice()[..want_y.len()].to_vec(),
+                )
+                .unwrap();
+                let dx = p.backward(&g);
+                assert_eq!(dx.shape(), shape, "{case}");
+                assert_same_bits(&dx, &want.backward(&g), &case, "dx");
+            }
+        }
+    });
 }
