@@ -156,16 +156,6 @@ impl PipelineHealth {
         self.breaker_probes += other.breaker_probes;
         self.backpressure_stalls += other.backpressure_stalls;
     }
-
-    /// Fraction of accepted windows that were served in a degraded mode
-    /// (0 when nothing was processed).
-    pub fn degraded_fraction(&self) -> f64 {
-        if self.processed == 0 {
-            0.0
-        } else {
-            self.degraded as f64 / self.processed as f64
-        }
-    }
 }
 
 /// Full multi-class confusion matrix (`counts[true][pred]`).

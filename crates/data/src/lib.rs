@@ -37,7 +37,6 @@ pub mod csv;
 mod dataset;
 mod kfold;
 mod preprocess;
-mod sampling;
 mod schema;
 mod synth;
 
@@ -49,6 +48,5 @@ pub use kfold::KFold;
 pub use preprocess::{
     holdout_indices, train_test_split, EncodedSplit, OneHotEncoder, Standardizer,
 };
-pub use sampling::{inverse_frequency_weights, oversample_to_balance, stratified_holdout};
 pub use schema::{ClassSpec, FeatureKind, FeatureSpec, Schema};
 pub use synth::{ClassProfile, NumericStyle, SynthConfig};

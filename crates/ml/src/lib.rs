@@ -34,17 +34,11 @@
 mod adaboost;
 mod classifier;
 mod forest;
-mod knn;
-mod logistic;
-mod naive_bayes;
 mod svm;
 mod tree;
 
 pub use adaboost::{AdaBoost, AdaBoostConfig};
 pub use classifier::{accuracy, Classifier};
 pub use forest::{RandomForest, RandomForestConfig};
-pub use knn::{Knn, KnnConfig};
-pub use logistic::{LogisticRegression, LogisticRegressionConfig};
-pub use naive_bayes::GaussianNb;
 pub use svm::{Svm, SvmConfig};
 pub use tree::{DecisionTree, DecisionTreeConfig};

@@ -1,18 +1,16 @@
 //! Seeded fault injection for robustness testing.
 //!
-//! Production training runs hit corrupted inputs, numerically exploding
-//! gradients and flaky data feeds; this module reproduces those failures
+//! Production training runs hit corrupted inputs, poisoned activations
+//! and flaky data feeds; this module reproduces those failures
 //! deterministically so the recovery paths in [`Trainer`](crate::Trainer)
 //! and downstream consumers can be exercised in tests. Every fault is
 //! drawn from a [`SeededRng`], so a failing run replays exactly from its
 //! seed.
 //!
-//! The injector operates on three surfaces:
+//! The injector operates on two surfaces:
 //!
 //! * tensors — [`FaultInjector::corrupt_tensor`] poisons elements with
 //!   NaN/±Inf (or huge finite values simulating an exploding update);
-//! * gradients — [`FaultInjector::explode_gradients`] scales accumulated
-//!   parameter gradients past any reasonable clip threshold;
 //! * CSV text — [`FaultInjector::garble_csv`] drops, truncates and
 //!   corrupts data lines the way a failing feed or disk would.
 //!
@@ -77,8 +75,8 @@ impl FaultInjector {
         self.rng.uniform() < self.rate
     }
 
-    /// Total corruption events performed so far (tensor corruptions,
-    /// gradient explosions and CSV lines damaged each count once).
+    /// Total corruption events performed so far (tensor corruptions and
+    /// CSV lines damaged each count once).
     pub fn events(&self) -> usize {
         self.events
     }
@@ -105,15 +103,6 @@ impl FaultInjector {
         }
         self.events += 1;
         n
-    }
-
-    /// Multiplies every accumulated gradient by `scale`, simulating an
-    /// exploding backward pass.
-    pub fn explode_gradients(&mut self, params: &mut [&mut Param], scale: f32) {
-        for p in params.iter_mut() {
-            p.grad.scale(scale);
-        }
-        self.events += 1;
     }
 
     /// Damages CSV `text` line by line at the configured rate: a hit line
@@ -253,20 +242,6 @@ mod tests {
         let mut inj = FaultInjector::new(1, 1.0);
         assert_eq!(inj.corrupt_tensor(&mut t, 0.0), 1);
         assert_eq!(inj.corrupt_tensor(&mut Tensor::zeros(vec![0]), 0.5), 0);
-    }
-
-    #[test]
-    fn explode_gradients_scales_all_params() {
-        let mut rng = SeededRng::new(0);
-        let mut layer = Dense::new(3, 2, &mut rng);
-        let x = Tensor::from_vec(vec![1, 3], vec![1.0, -1.0, 0.5]).unwrap();
-        let out = layer.forward(&x, Mode::Train);
-        layer.backward(&Tensor::ones(out.shape().to_vec()));
-        let before: f32 = layer.params_mut().iter().map(|p| p.grad.norm_sq()).sum();
-        let mut inj = FaultInjector::new(2, 1.0);
-        inj.explode_gradients(&mut layer.params_mut(), 1e4);
-        let after: f32 = layer.params_mut().iter().map(|p| p.grad.norm_sq()).sum();
-        assert!(after > before * 1e7, "before {before} after {after}");
     }
 
     #[test]

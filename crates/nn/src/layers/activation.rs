@@ -15,11 +15,6 @@ pub enum ActivationKind {
     /// Keras hard sigmoid `clamp(0.2x + 0.5, 0, 1)` — the GRU recurrent
     /// activation.
     HardSigmoid,
-    /// Leaky ReLU with slope 0.01 on the negative side — the standard fix
-    /// for dying-ReLU units in deep plain stacks.
-    LeakyRelu,
-    /// Exponential linear unit, `x` for `x > 0` else `e^x − 1`.
-    Elu,
 }
 
 impl ActivationKind {
@@ -30,20 +25,6 @@ impl ActivationKind {
             ActivationKind::Tanh => math::tanh(x),
             ActivationKind::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             ActivationKind::HardSigmoid => (0.2 * x + 0.5).clamp(0.0, 1.0),
-            ActivationKind::LeakyRelu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    0.01 * x
-                }
-            }
-            ActivationKind::Elu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    x.exp() - 1.0
-                }
-            }
         }
     }
 
@@ -70,20 +51,6 @@ impl ActivationKind {
                     0.2
                 } else {
                     0.0
-                }
-            }
-            ActivationKind::LeakyRelu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    0.01
-                }
-            }
-            ActivationKind::Elu => {
-                if x > 0.0 {
-                    1.0
-                } else {
-                    x.exp()
                 }
             }
         }
@@ -125,7 +92,7 @@ impl Activation {
 /// running per element, and loops like ReLU's vectorise.
 macro_rules! with_kind {
     ($kind:expr, |$k:ident| $body:expr) => {
-        with_kind!($kind, $k, $body; Relu, Tanh, Sigmoid, HardSigmoid, LeakyRelu, Elu)
+        with_kind!($kind, $k, $body; Relu, Tanh, Sigmoid, HardSigmoid)
     };
     ($kind:expr, $k:ident, $body:expr; $($variant:ident),*) => {
         match $kind {
@@ -159,8 +126,6 @@ impl Layer for Activation {
             ActivationKind::Tanh => "tanh",
             ActivationKind::Sigmoid => "sigmoid",
             ActivationKind::HardSigmoid => "hard_sigmoid",
-            ActivationKind::LeakyRelu => "leaky_relu",
-            ActivationKind::Elu => "elu",
         }
     }
 
@@ -216,29 +181,6 @@ mod tests {
         // ReLU's kink makes FD noisy exactly at 0; the random input avoids it
         // with probability 1.
         check_layer(Activation::new(ActivationKind::Relu), &[3, 4], 3, 2e-2);
-    }
-
-    #[test]
-    fn leaky_relu_keeps_negative_gradient_alive() {
-        let k = ActivationKind::LeakyRelu;
-        assert_eq!(k.apply(-2.0), -0.02);
-        assert_eq!(k.apply(3.0), 3.0);
-        assert_eq!(k.derivative(-1.0), 0.01);
-        assert_eq!(k.derivative(1.0), 1.0);
-    }
-
-    #[test]
-    fn elu_is_smooth_at_origin_from_the_left() {
-        let k = ActivationKind::Elu;
-        assert!((k.apply(-1e-4) - (-1e-4f32).exp_m1()).abs() < 1e-6);
-        assert_eq!(k.apply(2.0), 2.0);
-        assert!((k.derivative(-0.5) - (-0.5f32).exp()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gradcheck_leaky_relu_and_elu() {
-        check_layer(Activation::new(ActivationKind::LeakyRelu), &[3, 4], 4, 2e-2);
-        check_layer(Activation::new(ActivationKind::Elu), &[3, 4], 5, 2e-2);
     }
 
     #[test]

@@ -268,11 +268,6 @@ impl Gru {
         }
     }
 
-    /// Hidden width.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
     /// Computes `x·W + h·U + b` for one gate (reference path).
     fn gate_pre(x: &Tensor, h: &Tensor, w: &Tensor, u: &Tensor, b: &Tensor) -> Tensor {
         let mut pre = x.matmul(w).expect("gru gate x·W");
@@ -1039,7 +1034,6 @@ mod tests {
         let mut gru = Gru::new(3, 4, &mut rng);
         assert_eq!(gru.params_mut().len(), 9);
         assert_eq!(gru.param_layer_count(), 1);
-        assert_eq!(gru.units(), 4);
     }
 
     /// The fused step must agree with the retained reference to the bit,

@@ -59,6 +59,5 @@ pub use layers::residual::Residual;
 pub use layers::sequential::Sequential;
 pub use param::Param;
 pub use trainer::{
-    clip_global_norm, evaluate, predict, EpochStats, History, RecoveryPolicy, TrainError, Trainer,
-    TrainerConfig,
+    evaluate, predict, EpochStats, History, RecoveryPolicy, TrainError, Trainer, TrainerConfig,
 };

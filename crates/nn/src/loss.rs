@@ -55,33 +55,6 @@ impl Loss for SoftmaxCrossEntropy {
     }
 }
 
-/// Mean squared error against one-hot targets.
-///
-/// Provided for completeness (regression-style heads and unit comparisons);
-/// the paper's networks train with [`SoftmaxCrossEntropy`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Mse;
-
-impl Loss for Mse {
-    fn loss(&self, output: &Tensor, targets: &[usize]) -> (f32, Tensor) {
-        assert_eq!(output.rank(), 2, "loss expects [batch, classes] output");
-        let (b, c) = (output.shape()[0], output.shape()[1]);
-        assert_eq!(targets.len(), b, "target count must equal batch size");
-        let mut grad = output.clone();
-        let mut total = 0.0f64;
-        for (i, &y) in targets.iter().enumerate() {
-            assert!(y < c, "target class {y} out of range (classes {c})");
-            for j in 0..c {
-                let t = if j == y { 1.0 } else { 0.0 };
-                let d = output.as_slice()[i * c + j] - t;
-                total += (d as f64) * (d as f64);
-                grad.as_mut_slice()[i * c + j] = 2.0 * d / (b * c) as f32;
-            }
-        }
-        ((total / (b * c) as f64) as f32, grad)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,31 +106,6 @@ mod tests {
         let (loss, grad) = SoftmaxCrossEntropy.loss(&logits, &[0]);
         assert!(loss.is_finite());
         assert!(!grad.has_non_finite());
-    }
-
-    #[test]
-    fn mse_perfect_prediction_is_zero() {
-        let out = Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]).unwrap();
-        let (loss, grad) = Mse.loss(&out, &[0, 1]);
-        assert_eq!(loss, 0.0);
-        assert!(grad.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let out = Tensor::from_vec(vec![1, 3], vec![0.2, 0.5, -0.1]).unwrap();
-        let (_, grad) = Mse.loss(&out, &[1]);
-        let h = 1e-3f32;
-        for i in 0..3 {
-            let mut up = out.clone();
-            up.as_mut_slice()[i] += h;
-            let mut down = out.clone();
-            down.as_mut_slice()[i] -= h;
-            let (lu, _) = Mse.loss(&up, &[1]);
-            let (ld, _) = Mse.loss(&down, &[1]);
-            let numeric = (lu - ld) / (2.0 * h);
-            assert!((grad.as_slice()[i] - numeric).abs() < 1e-3);
-        }
     }
 
     #[test]

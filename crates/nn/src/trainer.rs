@@ -17,7 +17,7 @@
 //!   number of times;
 //! * **durability** — with a checkpoint directory configured, a v2
 //!   checkpoint (parameters + optimizer state + epoch + learning rate,
-//!   CRC-protected, atomically written) is saved on an epoch cadence, and
+//!   CRC-protected, atomically written) is saved after every epoch, and
 //!   `fit` resumes from the newest valid checkpoint it finds there, so a
 //!   killed process repeats no completed work. Shuffle orders are derived
 //!   per epoch from the configured seed, so a resumed run replays the
@@ -146,36 +146,36 @@ impl Error for TrainError {}
 /// Rollback-and-retry policy for faults detected during training.
 ///
 /// With a policy configured, [`Trainer::fit`] snapshots parameters,
-/// optimizer state and learning rate at every epoch boundary. A fault
-/// restores the snapshot, multiplies the learning rate by
-/// [`lr_backoff`](Self::lr_backoff) and retries the epoch with a freshly
-/// derived shuffle order; after
+/// optimizer state and learning rate at every epoch boundary. A fault — a
+/// non-finite loss, gradient or updated parameter in any minibatch, or an
+/// epoch loss more than 10× the previous epoch's — restores the snapshot,
+/// halves the learning rate (compounding per retry) and retries the epoch
+/// with a freshly derived shuffle order; after
 /// [`max_retries_per_epoch`](Self::max_retries_per_epoch) failed retries
-/// the run aborts with [`TrainError::Unrecoverable`].
+/// the run aborts with [`TrainError::Unrecoverable`]. The gradient and
+/// parameter checks cost one pass over the parameters per minibatch; they
+/// cannot be switched off, because a NaN activation can reach the weights
+/// through a finite loss.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Rollbacks allowed per epoch before giving up.
     pub max_retries_per_epoch: usize,
-    /// Learning-rate multiplier applied on each rollback (compounding).
-    pub lr_backoff: f32,
-    /// Treat a finite epoch loss more than this factor above the previous
-    /// epoch's as a fault (`None` disables the spike check).
-    pub loss_spike_factor: Option<f32>,
-    /// Also check gradients and updated parameters for non-finite values
-    /// after every minibatch (costs one pass over the parameters).
-    pub check_gradients: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
         Self {
             max_retries_per_epoch: 3,
-            lr_backoff: 0.5,
-            loss_spike_factor: Some(10.0),
-            check_gradients: true,
         }
     }
 }
+
+/// A finite epoch loss more than this factor above the previous epoch's is
+/// a fault under a [`RecoveryPolicy`].
+const LOSS_SPIKE_FACTOR: f32 = 10.0;
+
+/// Learning-rate multiplier applied on each rollback (compounding).
+const LR_BACKOFF: f32 = 0.5;
 
 /// Knobs for [`Trainer`]; defaults follow the paper's Table I where a value
 /// is dataset-independent.
@@ -190,26 +190,16 @@ pub struct TrainerConfig {
     pub shuffle_seed: u64,
     /// Print one line per epoch to stderr.
     pub verbose: bool,
-    /// Stop early when the held-out loss has not improved for this many
-    /// consecutive epochs (requires an eval set; `None` disables).
-    pub early_stop_patience: Option<usize>,
     /// Multiply the learning rate by this factor after every epoch
     /// (`None` keeps it constant, as the paper does).
     pub lr_decay: Option<f32>,
-    /// Clip the global gradient norm to this value before each optimizer
-    /// step — the standard guard against the exploding-gradient half of
-    /// the problem the paper describes in Section III.
-    pub grad_clip: Option<f32>,
     /// Rollback-and-retry on detected faults (`None`: a non-finite loss
     /// aborts with [`TrainError::NonFinite`]).
     pub recovery: Option<RecoveryPolicy>,
     /// Directory for durable checkpoints. When set, `fit` resumes from
-    /// the newest valid checkpoint found there and saves a new one every
-    /// [`checkpoint_every`](Self::checkpoint_every) epochs.
+    /// the newest valid checkpoint found there and saves a new one after
+    /// every epoch.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Epoch cadence for checkpoint saves (ignored without
-    /// [`checkpoint_dir`](Self::checkpoint_dir)).
-    pub checkpoint_every: usize,
     /// Worker threads for the tensor kernels driven by this run (`None`
     /// inherits the ambient [`pelican_runtime`] configuration, i.e. the
     /// `PELICAN_THREADS` environment knob). The engine partitions kernel
@@ -226,12 +216,9 @@ impl Default for TrainerConfig {
             batch_size: 128,
             shuffle_seed: 0,
             verbose: false,
-            early_stop_patience: None,
             lr_decay: None,
-            grad_clip: None,
             recovery: None,
             checkpoint_dir: None,
-            checkpoint_every: 1,
             threads: None,
         }
     }
@@ -398,8 +385,6 @@ impl Trainer {
         }
 
         let mut snapshot = policy.map(|_| Snapshot::capture(model, optimizer.learning_rate()));
-        let mut best_eval_loss = f32::INFINITY;
-        let mut epochs_without_improvement = 0usize;
         let mut prev_train_loss: Option<f32> = None;
 
         for epoch in start_epoch..=self.config.epochs {
@@ -411,16 +396,15 @@ impl Trainer {
             let mut retries = 0usize;
             let (train_loss, train_acc) = loop {
                 let seed = epoch_seed(self.config.shuffle_seed, epoch, retries);
-                let attempt = self.run_epoch(model, loss, optimizer, x, y, bs, seed, policy);
+                let attempt =
+                    self.run_epoch(model, loss, optimizer, x, y, bs, seed, policy.is_some());
                 let fault = match attempt {
-                    Ok((tl, ta)) => {
-                        match (policy.and_then(|p| p.loss_spike_factor), prev_train_loss) {
-                            (Some(factor), Some(prev)) if tl > prev * factor => {
-                                format!("loss spike: {tl} > {factor} x previous {prev}")
-                            }
-                            _ => break (tl, ta),
+                    Ok((tl, ta)) => match (policy, prev_train_loss) {
+                        (Some(_), Some(prev)) if tl > prev * LOSS_SPIKE_FACTOR => {
+                            format!("loss spike: {tl} > {LOSS_SPIKE_FACTOR} x previous {prev}")
                         }
-                    }
+                        _ => break (tl, ta),
+                    },
                     Err(detail) => detail,
                 };
 
@@ -441,7 +425,7 @@ impl Trainer {
                 history.total_recoveries += 1;
                 let snap = snapshot.as_ref().expect("snapshot exists with policy");
                 snap.restore(model);
-                let lr = snap.lr * policy.lr_backoff.powi(retries as i32);
+                let lr = snap.lr * LR_BACKOFF.powi(retries as i32);
                 optimizer.set_learning_rate(lr);
                 observe::event(
                     "trainer.rollback",
@@ -501,34 +485,12 @@ impl Trainer {
                 *s = Snapshot::capture(model, optimizer.learning_rate());
             }
             if let Some(dir) = &self.config.checkpoint_dir {
-                if epoch % self.config.checkpoint_every.max(1) == 0 {
-                    let meta = CheckpointMeta {
-                        epoch,
-                        learning_rate: optimizer.learning_rate(),
-                    };
-                    io::save_checkpoint(model, meta, dir.join(io::checkpoint_filename(epoch)))
-                        .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
-                }
-            }
-
-            if let (Some(patience), Some(eval_loss)) = (self.config.early_stop_patience, test_loss)
-            {
-                if eval_loss < best_eval_loss - 1e-6 {
-                    best_eval_loss = eval_loss;
-                    epochs_without_improvement = 0;
-                } else {
-                    epochs_without_improvement += 1;
-                    if epochs_without_improvement >= patience {
-                        if self.config.verbose {
-                            eprintln!("early stop at epoch {epoch} (patience {patience})");
-                        }
-                        observe::event(
-                            "trainer.early_stop",
-                            &[("epoch", epoch.into()), ("patience", patience.into())],
-                        );
-                        break;
-                    }
-                }
+                let meta = CheckpointMeta {
+                    epoch,
+                    learning_rate: optimizer.learning_rate(),
+                };
+                io::save_checkpoint(model, meta, dir.join(io::checkpoint_filename(epoch)))
+                    .map_err(|e| TrainError::Checkpoint(e.to_string()))?;
             }
         }
         Ok(history)
@@ -537,7 +499,7 @@ impl Trainer {
     /// One pass over the shuffled training set. Returns the epoch's mean
     /// loss and accuracy, or a fault description the moment a non-finite
     /// loss (always checked) or non-finite gradient/parameter (with
-    /// `policy.check_gradients`) appears.
+    /// `check_grads`, set when a policy is) appears.
     #[allow(clippy::too_many_arguments)]
     fn run_epoch(
         &self,
@@ -548,14 +510,13 @@ impl Trainer {
         y: &[usize],
         bs: usize,
         seed: u64,
-        policy: Option<&RecoveryPolicy>,
+        check_grads: bool,
     ) -> Result<(f32, f32), String> {
         let n = x.shape()[0];
         let mut rng = SeededRng::new(seed);
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
 
-        let check_grads = policy.is_some_and(|p| p.check_gradients);
         let mut loss_sum = 0.0f64;
         let mut correct = 0usize;
         for batch in order.chunks(bs) {
@@ -585,9 +546,6 @@ impl Trainer {
                     return Err(format!("{bad} non-finite gradient values"));
                 }
             }
-            if let Some(max_norm) = self.config.grad_clip {
-                clip_global_norm(&mut model.params_mut(), max_norm);
-            }
             {
                 let _span = observe::span("optimizer");
                 optimizer.step(&mut model.params_mut());
@@ -608,24 +566,6 @@ impl Trainer {
             correct += preds.iter().zip(&yb).filter(|(p, t)| p == t).count();
         }
         Ok(((loss_sum / n as f64) as f32, correct as f32 / n as f32))
-    }
-}
-
-/// Scales every gradient so the global (all-parameter) L2 norm is at most
-/// `max_norm`. No-op when the norm is already within bounds.
-///
-/// # Panics
-///
-/// Panics if `max_norm` is not positive.
-pub fn clip_global_norm(params: &mut [&mut crate::Param], max_norm: f32) {
-    assert!(max_norm > 0.0, "clip norm must be positive");
-    let total_sq: f32 = params.iter().map(|p| p.grad.norm_sq()).sum();
-    let norm = total_sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        for p in params.iter_mut() {
-            p.grad.scale(scale);
-        }
     }
 }
 
@@ -857,56 +797,6 @@ mod tests {
     }
 
     #[test]
-    fn early_stopping_halts_on_plateau() {
-        // Zero learning rate → eval loss never improves → stop after
-        // exactly 1 (first epoch) + patience epochs.
-        let (x, y) = blobs(20, 13);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 50,
-            early_stop_patience: Some(3),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.0),
-                &x,
-                &y,
-                Some((&x, &y)),
-            )
-            .expect("training");
-        assert_eq!(hist.epochs.len(), 4, "1 best epoch + 3 patience");
-    }
-
-    #[test]
-    fn early_stopping_ignored_without_eval_set() {
-        let (x, y) = blobs(10, 14);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 5,
-            early_stop_patience: Some(1),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.0),
-                &x,
-                &y,
-                None,
-            )
-            .expect("training");
-        assert_eq!(hist.epochs.len(), 5);
-    }
-
-    #[test]
     fn lr_decay_shrinks_learning_rate() {
         let (x, y) = blobs(10, 15);
         let mut rng = SeededRng::new(0);
@@ -925,46 +815,6 @@ mod tests {
             (opt.learning_rate() - 0.1).abs() < 1e-6,
             "0.8 * 0.5^3 = 0.1"
         );
-    }
-
-    #[test]
-    fn clip_global_norm_bounds_gradients() {
-        use crate::Param;
-        let mut p1 = Param::new(Tensor::zeros(vec![2]));
-        p1.grad = Tensor::from_vec(vec![2], vec![3.0, 0.0]).unwrap();
-        let mut p2 = Param::new(Tensor::zeros(vec![2]));
-        p2.grad = Tensor::from_vec(vec![2], vec![0.0, 4.0]).unwrap();
-        // Global norm = 5; clip to 1 → scaled by 1/5.
-        clip_global_norm(&mut [&mut p1, &mut p2], 1.0);
-        assert!((p1.grad.as_slice()[0] - 0.6).abs() < 1e-6);
-        assert!((p2.grad.as_slice()[1] - 0.8).abs() < 1e-6);
-        // Already within bounds: unchanged.
-        clip_global_norm(&mut [&mut p1, &mut p2], 10.0);
-        assert!((p1.grad.as_slice()[0] - 0.6).abs() < 1e-6);
-    }
-
-    #[test]
-    fn training_with_clipping_still_learns() {
-        let (x, y) = blobs(30, 21);
-        let mut rng = SeededRng::new(0);
-        let mut net = Sequential::new();
-        net.push(Dense::new(2, 2, &mut rng));
-        let trainer = Trainer::new(TrainerConfig {
-            epochs: 30,
-            grad_clip: Some(0.5),
-            ..Default::default()
-        });
-        let hist = trainer
-            .fit(
-                &mut net,
-                &SoftmaxCrossEntropy,
-                &mut Sgd::new(0.5),
-                &x,
-                &y,
-                None,
-            )
-            .expect("training");
-        assert!(hist.epochs.last().unwrap().train_acc > 0.9);
     }
 
     #[test]
@@ -1037,7 +887,6 @@ mod tests {
             epochs: 3,
             recovery: Some(RecoveryPolicy {
                 max_retries_per_epoch: 2,
-                ..Default::default()
             }),
             ..Default::default()
         });
@@ -1068,7 +917,6 @@ mod tests {
             batch_size: 16,
             recovery: Some(RecoveryPolicy {
                 max_retries_per_epoch: 12,
-                ..Default::default()
             }),
             ..Default::default()
         });
@@ -1148,7 +996,6 @@ mod tests {
                 epochs: 3,
                 recovery: Some(RecoveryPolicy {
                     max_retries_per_epoch: 2,
-                    ..Default::default()
                 }),
                 ..Default::default()
             })
@@ -1164,6 +1011,117 @@ mod tests {
             .collect();
         assert_eq!(rollbacks.len(), 2, "one event per retry");
         assert!(rollbacks.iter().all(|e| e.tick == 1), "stamped with epoch");
+    }
+
+    /// Softmax cross-entropy whose reported loss is 1000× too large on its
+    /// second call; the gradient is always the true one.
+    struct SpikeLoss(std::cell::Cell<usize>);
+    impl Loss for SpikeLoss {
+        fn loss(&self, output: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+            self.0.set(self.0.get() + 1);
+            let (l, grad) = SoftmaxCrossEntropy.loss(output, targets);
+            let scale = if self.0.get() == 2 { 1000.0 } else { 1.0 };
+            (l * scale, grad)
+        }
+    }
+
+    #[test]
+    fn loss_spike_rolls_back_and_halves_the_learning_rate() {
+        use pelican_observe::{FieldValue, Recorder as _};
+        use std::sync::Arc;
+        let (x, y) = blobs(10, 34);
+        let rec = Arc::new(pelican_observe::InMemoryRecorder::new());
+        let mut opt = Sgd::new(0.1);
+        // One batch per epoch attempt, so call 2 is epoch 2's first attempt.
+        let spike = SpikeLoss(std::cell::Cell::new(0));
+        let hist = pelican_observe::with_recorder(rec.clone(), || {
+            let mut rng = SeededRng::new(0);
+            let mut net = Sequential::new();
+            net.push(Dense::new(2, 2, &mut rng));
+            Trainer::new(TrainerConfig {
+                epochs: 3,
+                batch_size: x.shape()[0],
+                recovery: Some(RecoveryPolicy::default()),
+                ..Default::default()
+            })
+            .fit(&mut net, &spike, &mut opt, &x, &y, None)
+            .expect("one spike is recoverable")
+        });
+        assert_eq!(hist.total_recoveries, 1);
+        assert_eq!(
+            hist.epochs.iter().map(|e| e.recoveries).collect::<Vec<_>>(),
+            [0, 1, 0]
+        );
+        let snap = rec.snapshot().unwrap();
+        let rollbacks: Vec<_> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "trainer.rollback")
+            .collect();
+        assert_eq!(rollbacks.len(), 1);
+        assert_eq!(rollbacks[0].tick, 2);
+        assert!(rollbacks[0]
+            .fields
+            .contains(&("epoch".to_string(), FieldValue::U64(2))));
+        assert_eq!(opt.learning_rate(), 0.1f32 * 0.5);
+    }
+
+    /// A [`Dense`] whose backward leaves one NaN in its weight gradient.
+    struct NanGradDense(Dense);
+    impl Layer for NanGradDense {
+        fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+            self.0.forward(input, mode)
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let dx = self.0.backward(grad_out);
+            self.0.params_mut()[0].grad.as_mut_slice()[0] = f32::NAN;
+            dx
+        }
+        fn params_mut(&mut self) -> Vec<&mut crate::Param> {
+            self.0.params_mut()
+        }
+        fn name(&self) -> &'static str {
+            "nan_grad_dense"
+        }
+        fn param_layer_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn non_finite_gradient_under_finite_loss_is_rolled_back() {
+        let (x, y) = blobs(10, 35);
+        let mut net = NanGradDense(Dense::new(2, 2, &mut SeededRng::new(0)));
+        let err = Trainer::new(TrainerConfig {
+            epochs: 2,
+            recovery: Some(RecoveryPolicy {
+                max_retries_per_epoch: 1,
+            }),
+            ..Default::default()
+        })
+        .fit(
+            &mut net,
+            &SoftmaxCrossEntropy,
+            &mut Sgd::new(0.1),
+            &x,
+            &y,
+            None,
+        )
+        .unwrap_err();
+        match err {
+            TrainError::Unrecoverable {
+                epoch,
+                retries,
+                ref detail,
+            } => {
+                assert_eq!((epoch, retries), (1, 1));
+                assert!(detail.contains("non-finite gradient"), "{detail}");
+            }
+            ref other => panic!("expected Unrecoverable, got {other}"),
+        }
+        // The check runs before the optimizer step, so the NaN never
+        // reached a parameter.
+        assert!(net.params_mut().iter().all(|p| !p.value.has_non_finite()));
     }
 
     #[test]

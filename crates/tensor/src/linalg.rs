@@ -11,7 +11,7 @@
 //! blocked serial kernel, so the result is bit-identical to the serial path
 //! at every worker count.
 
-use crate::pack::{self, dot_seg};
+use crate::pack;
 use crate::{workspace, ShapeError, Tensor};
 
 impl Tensor {
@@ -75,41 +75,6 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         pack::matmul_at_into(self.as_slice(), rhs.as_slice(), k, m, n, &mut out);
         Tensor::from_vec(vec![m, n], out)
-    }
-
-    /// Matrix–vector product `self (m×k) · v (k)`, returning a length-`m`
-    /// rank-1 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] unless `self` is rank 2 and `v` is rank 1 with
-    /// matching length.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor, ShapeError> {
-        if self.rank() != 2 || v.rank() != 1 || self.shape()[1] != v.shape()[0] {
-            return Err(ShapeError::new("matvec", self.shape(), v.shape()));
-        }
-        let (m, k) = (self.shape()[0], self.shape()[1]);
-        pelican_observe::counter_add("tensor.matvec_calls", 1);
-        pelican_observe::counter_add("tensor.matvec_flops", 2 * (m * k) as u64);
-        let a = self.as_slice();
-        let vs = v.as_slice();
-        let mut out = vec![0.0f32; m];
-        match pack::plan(m * k, m) {
-            None => {
-                for (i, o) in out.iter_mut().enumerate() {
-                    *o = dot_seg(&a[i * k..(i + 1) * k], vs, k);
-                }
-            }
-            Some((pool, chunk_rows)) => {
-                pool.scope_chunks(&mut out, chunk_rows, |idx, chunk| {
-                    let row0 = idx * chunk_rows;
-                    for (i, o) in chunk.iter_mut().enumerate() {
-                        *o = dot_seg(&a[(row0 + i) * k..(row0 + i + 1) * k], vs, k);
-                    }
-                });
-            }
-        }
-        Tensor::from_vec(vec![m], out)
     }
 
     /// Adds a length-`n` bias vector to every row of an `m×n` tensor, in
@@ -201,15 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_known_values() {
-        let a = t(vec![2, 3], vec![1., 0., 0., 0., 2., 0.]);
-        let v = t(vec![3], vec![5., 7., 9.]);
-        let r = a.matvec(&v).unwrap();
-        assert_eq!(r.as_slice(), &[5., 14.]);
-        assert!(a.matvec(&Tensor::zeros(vec![2])).is_err());
-    }
-
-    #[test]
     fn add_row_bias_broadcasts() {
         let mut a = Tensor::zeros(vec![2, 3]);
         let b = t(vec![3], vec![1., 2., 3.]);
@@ -229,13 +185,11 @@ mod tests {
             (0..20).map(|v| (v as f32) * 0.3 - 2.0).collect(),
         );
         let y = t(vec![5, 6], (0..30).map(|v| (v as f32).sqrt()).collect());
-        let v = t(vec![7], (0..7).map(|v| v as f32 - 3.0).collect());
         let serial = with_exec(ExecConfig::serial(), || {
             (
                 a.matmul(&b).unwrap(),
                 a.matmul_bt(&bt).unwrap(),
                 x.matmul_at(&y).unwrap(),
-                a.matvec(&v).unwrap(),
             )
         });
         for workers in [2usize, 3, 7] {
@@ -248,7 +202,6 @@ mod tests {
                     a.matmul(&b).unwrap(),
                     a.matmul_bt(&bt).unwrap(),
                     x.matmul_at(&y).unwrap(),
-                    a.matvec(&v).unwrap(),
                 )
             });
             assert_eq!(par.0.as_slice(), serial.0.as_slice(), "matmul @ {workers}");
@@ -262,7 +215,6 @@ mod tests {
                 serial.2.as_slice(),
                 "matmul_at @ {workers}"
             );
-            assert_eq!(par.3.as_slice(), serial.3.as_slice(), "matvec @ {workers}");
         }
     }
 
@@ -274,17 +226,16 @@ mod tests {
             let a = Tensor::zeros(vec![2, 3]);
             a.matmul(&Tensor::zeros(vec![3, 4])).unwrap();
             a.matmul_bt(&Tensor::zeros(vec![4, 3])).unwrap();
-            a.matvec(&Tensor::zeros(vec![3])).unwrap();
         });
-        // Two GEMMs of 2×3×4 MACs each, one matvec of 2×3 MACs; a FLOP
-        // counter counts multiply *and* add.
+        // Two GEMMs of 2×3×4 MACs each; a FLOP counter counts multiply
+        // *and* add.
         assert_eq!(rec.counter("tensor.matmul_flops"), 2 * 2 * (2 * 3 * 4));
         assert_eq!(rec.counter("tensor.matmul_calls"), 2);
-        assert_eq!(rec.counter("tensor.matvec_flops"), 2 * (2 * 3));
     }
 
     #[test]
     fn dot_handles_non_multiple_of_four() {
+        use crate::pack::dot_seg;
         let a: Vec<f32> = (0..7).map(|v| v as f32).collect();
         let b: Vec<f32> = (0..7).map(|v| (v + 1) as f32).collect();
         let expect: f32 = a.iter().zip(&b).map(|(x, y)| x * y).sum();

@@ -336,11 +336,6 @@ impl Tensor {
         }
     }
 
-    /// Squared Frobenius norm.
-    pub fn norm_sq(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
-    }
-
     /// Returns `true` if any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
@@ -523,7 +518,6 @@ mod tests {
     #[test]
     fn norm_and_finiteness() {
         let t = Tensor::from_vec(vec![2], vec![3.0, 4.0]).unwrap();
-        assert_eq!(t.norm_sq(), 25.0);
         assert!(!t.has_non_finite());
         let bad = Tensor::from_vec(vec![1], vec![f32::NAN]).unwrap();
         assert!(bad.has_non_finite());

@@ -61,7 +61,6 @@ fn main() {
         verbose: true,
         recovery: Some(RecoveryPolicy {
             max_retries_per_epoch: 12,
-            ..Default::default()
         }),
         ..Default::default()
     })

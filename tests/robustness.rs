@@ -81,7 +81,6 @@ fn injected_faults_recover_to_comparable_accuracy() {
         verbose: false,
         recovery: Some(RecoveryPolicy {
             max_retries_per_epoch: 12,
-            ..Default::default()
         }),
         ..Default::default()
     })
