@@ -164,7 +164,8 @@ fn rmsprop_case(iters: usize) -> (usize, usize, f64, f64) {
     let mut net = build_network(&cfg);
     let mut sweep: Vec<Param> = net.params_mut().into_iter().map(|p| p.clone()).collect();
     for (i, p) in sweep.iter_mut().enumerate() {
-        p.grad = random_tensor(p.value.shape().to_vec(), 33 + i as u64);
+        let g = random_tensor(p.value.shape().to_vec(), 33 + i as u64);
+        p.grad_mut(..).copy_from_slice(g.as_slice());
     }
     let mut reference = sweep.clone();
     let (lr, rho, eps) = (0.01, 0.9, 1e-7);
@@ -177,7 +178,7 @@ fn rmsprop_case(iters: usize) -> (usize, usize, f64, f64) {
     });
     let bits = |ps: &[Param]| -> Vec<u32> {
         ps.iter()
-            .flat_map(|p| p.value.as_slice().iter().chain(p.state[0].as_slice()))
+            .flat_map(|p| p.value.as_slice().iter().chain(p.state()[0].as_slice()))
             .map(|v| v.to_bits())
             .collect()
     };

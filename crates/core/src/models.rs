@@ -327,6 +327,74 @@ mod tests {
         clf.fit(&x, &[0, 1, 0, 1]);
     }
 
+    /// Each parameter's `live` range and length after three RMSprop steps
+    /// of `Trainer::fit` at batch 4.
+    fn live_after_three_steps(cfg: &NetConfig) -> Vec<(std::ops::Range<usize>, usize)> {
+        let mut net = build_network(cfg);
+        let mut rng = SeededRng::new(3);
+        let rows = 12;
+        let data = (0..rows * cfg.in_features).map(|_| rng.normal()).collect();
+        let x = Tensor::from_vec(vec![rows, cfg.in_features], data).unwrap();
+        let y: Vec<usize> = (0..rows).map(|i| i % cfg.classes).collect();
+        Trainer::new(TrainerConfig {
+            epochs: 1,
+            batch_size: 4,
+            ..Default::default()
+        })
+        .fit(
+            &mut net,
+            &SoftmaxCrossEntropy,
+            &mut RmsProp::new(0.01),
+            &x,
+            &y,
+            None,
+        )
+        .expect("training");
+        net.params_mut()
+            .iter()
+            .map(|p| (p.live(), p.len()))
+            .collect()
+    }
+
+    /// At sequence length 1 a backward pass writes one kernel tap of each
+    /// Conv1d weight and only `Wz`, `Wh`, `bz` and `bh` of each GRU, so the
+    /// optimizer sweeps ≈19% of the paper's models. A backward that writes
+    /// more, even zeros, widens a hull and fails here.
+    #[test]
+    fn seq1_training_keeps_gradient_hulls_narrow() {
+        for (f, classes, blocks, live_total, total) in [
+            (121, 5, 5, 224_460, 1_176_730),
+            (196, 10, 10, 1_168_170, 6_164_210),
+        ] {
+            let cfg = NetConfig {
+                in_features: f,
+                classes,
+                blocks,
+                residual: true,
+                kernel: 10,
+                dropout: 0.6,
+                seed: 7,
+            };
+            let live = live_after_three_steps(&cfg);
+            let (slab, tap) = (f * f, (cfg.kernel - 1) / 2);
+            let mut want = Vec::new();
+            for _ in 0..blocks {
+                // BN, Conv1d weight (one tap) and bias, BN.
+                want.extend([0..f, 0..f, tap * slab..(tap + 1) * slab, 0..f, 0..f, 0..f]);
+                // GRU: Wz, Wr, Wh, Uz, Ur, Uh, bz, br, bh.
+                want.extend([0..slab, 0..0, 0..slab, 0..0, 0..0, 0..0, 0..f, 0..0, 0..f]);
+            }
+            want.extend([0..f * classes, 0..classes]);
+            let got: Vec<_> = live.iter().map(|(r, _)| r.clone()).collect();
+            assert_eq!(got, want, "R{}/{f}", cfg.param_layers());
+            let shares = (
+                live.iter().map(|(r, _)| r.len()).sum::<usize>(),
+                live.iter().map(|(_, n)| n).sum::<usize>(),
+            );
+            assert_eq!(shares, (live_total, total), "R{}/{f}", cfg.param_layers());
+        }
+    }
+
     #[test]
     fn deep_residual_forward_backward_is_finite() {
         let mut net = build_network(&NetConfig {

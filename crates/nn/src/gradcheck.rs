@@ -119,7 +119,11 @@ fn check_layer_here<L: Layer>(mut layer: L, input_shape: &[usize], seed: u64, to
     layer.zero_grad();
     layer.forward(&x, Mode::Train);
     let dx = layer.backward(&r);
-    let analytic_params: Vec<Tensor> = layer.params_mut().iter().map(|p| p.grad.clone()).collect();
+    let analytic_params: Vec<Tensor> = layer
+        .params_mut()
+        .iter()
+        .map(|p| p.grad().clone())
+        .collect();
 
     // Input gradient.
     {

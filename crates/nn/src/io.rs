@@ -28,10 +28,17 @@
 //!
 //! [`save_checkpoint`] writes atomically (temp file + rename), so a crash
 //! mid-write leaves either the previous checkpoint or a stray `.tmp` —
-//! never a torn file under the real name. Known limitation: BatchNorm
+//! never a torn file under the real name. Known limitations: BatchNorm
 //! running statistics are internal layer state, not parameters, and are
-//! not serialised; they only affect evaluation-mode outputs, so training
-//! trajectories still reproduce exactly across a save/resume boundary.
+//! not serialised; they only affect evaluation-mode outputs. Adam's step
+//! counter is not serialised either, so an Adam resume restarts bias
+//! correction; RMSprop, SGD and AdaDelta resumes reproduce the training
+//! trajectory exactly.
+//!
+//! Loaded optimizer state goes through
+//! [`Param::set_state`](crate::Param::set_state), which widens each
+//! parameter's `live` hull over every nonzero slot element, so the
+//! optimizers' hull sweeps still cover all of it.
 
 use crate::Layer;
 use pelican_tensor::Tensor;
@@ -149,8 +156,8 @@ pub fn checkpoint_to_bytes(model: &mut dyn Layer, meta: CheckpointMeta) -> Vec<u
             put_u32(&mut buf, d as u32);
         }
         put_tensor_data(&mut buf, &p.value);
-        put_u32(&mut buf, p.state.len() as u32);
-        for s in &p.state {
+        put_u32(&mut buf, p.state().len() as u32);
+        for s in p.state() {
             put_tensor_data(&mut buf, s);
         }
     }
@@ -341,7 +348,7 @@ fn commit(model: &mut dyn Layer, parsed: Vec<ParsedParam>) -> Result<(), IoError
     }
     for (p, entry) in params.iter_mut().zip(parsed) {
         p.value = entry.value;
-        p.state = entry.state;
+        p.set_state(entry.state);
     }
     Ok(())
 }
@@ -590,7 +597,7 @@ mod tests {
         assert_eq!(loaded, meta);
         for (pa, pb) in a.params_mut().iter().zip(b.params_mut().iter()) {
             assert_eq!(pa.value, pb.value);
-            assert_eq!(pa.state, pb.state);
+            assert_eq!(pa.state(), pb.state());
         }
     }
 

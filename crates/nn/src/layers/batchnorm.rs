@@ -215,10 +215,10 @@ impl Layer for BatchNorm {
         }
 
         // Parameter gradients.
-        for (g, &s) in self.gamma.grad.as_mut_slice().iter_mut().zip(&sum_dy_xhat) {
+        for (g, &s) in self.gamma.grad_mut(..).iter_mut().zip(&sum_dy_xhat) {
             *g += s;
         }
-        for (g, &s) in self.beta.grad.as_mut_slice().iter_mut().zip(&sum_dy) {
+        for (g, &s) in self.beta.grad_mut(..).iter_mut().zip(&sum_dy) {
             *g += s;
         }
 

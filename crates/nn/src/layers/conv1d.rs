@@ -347,7 +347,7 @@ impl Layer for Conv1d {
         assert_eq!(dy.len(), b * t * self.out_channels, "conv grad length");
 
         // Bias gradient: sum of dy over all positions.
-        add_col_sums(dy, self.out_channels, 0, self.bias.grad.as_mut_slice());
+        add_col_sums(dy, self.out_channels, 0, self.bias.grad_mut(..));
 
         // dW = colᵀ · dY, accumulated into the live-tap rows of the
         // parameter gradient (taps outside the union read padding
@@ -355,7 +355,9 @@ impl Layer for Conv1d {
         let mut dw = workspace::take(kke * self.out_channels);
         pack::matmul_at_into(&self.cache.col, dy, b * t, kke, self.out_channels, &mut dw);
         let g0 = tap_lo * c * self.out_channels;
-        for (d, &s) in self.weight.grad.as_mut_slice()[g0..]
+        for (d, &s) in self
+            .weight
+            .grad_mut(g0..g0 + dw.len())
             .iter_mut()
             .zip(dw.iter())
         {

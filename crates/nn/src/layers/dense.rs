@@ -1,5 +1,6 @@
 //! Fully-connected layer.
 
+use super::add_to_grad;
 use crate::{Layer, Mode, Param};
 use pelican_tensor::{Init, SeededRng, Tensor};
 
@@ -65,9 +66,9 @@ impl Layer for Dense {
         let dw = input
             .matmul_at(grad_out)
             .unwrap_or_else(|e| panic!("dense backward dW: {e}"));
-        self.weight.grad.add_assign(&dw).expect("dW shape");
+        add_to_grad(&mut self.weight, &dw);
         let db = grad_out.sum_axis0().expect("dY rank");
-        self.bias.grad.add_assign(&db).expect("db shape");
+        add_to_grad(&mut self.bias, &db);
         grad_out
             .matmul_bt(&self.weight.value)
             .unwrap_or_else(|e| panic!("dense backward dX: {e}"))
@@ -113,11 +114,11 @@ mod tests {
         let dx = d.backward(&dy);
         assert_eq!(dx.shape(), &[4, 3]);
         // db = column sums of dy = 4 each.
-        assert_eq!(d.bias.grad.as_slice(), &[4.0, 4.0]);
+        assert_eq!(d.bias.grad().as_slice(), &[4.0, 4.0]);
         // Second backward accumulates.
         d.forward(&x, Mode::Train);
         d.backward(&dy);
-        assert_eq!(d.bias.grad.as_slice(), &[8.0, 8.0]);
+        assert_eq!(d.bias.grad().as_slice(), &[8.0, 8.0]);
     }
 
     #[test]

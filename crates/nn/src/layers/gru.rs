@@ -740,10 +740,10 @@ impl Gru {
             &dw,
             c,
             u,
-            &mut [self.wxz.grad.as_mut_slice(), self.wxh.grad.as_mut_slice()],
+            &mut [self.wxz.grad_mut(..), self.wxh.grad_mut(..)],
         );
-        add_col_sums(&g, 2 * u, 0, self.bz.grad.as_mut_slice());
-        add_col_sums(&g, 2 * u, u, self.bh.grad.as_mut_slice());
+        add_col_sums(&g, 2 * u, 0, self.bz.grad_mut(..));
+        add_col_sums(&g, 2 * u, u, self.bh.grad_mut(..));
         Some(dx)
     }
 
@@ -843,9 +843,9 @@ impl Gru {
                 c,
                 u,
                 &mut [
-                    self.wxz.grad.as_mut_slice(),
-                    self.wxr.grad.as_mut_slice(),
-                    self.wxh.grad.as_mut_slice(),
+                    self.wxz.grad_mut(..),
+                    self.wxr.grad_mut(..),
+                    self.wxh.grad_mut(..),
                 ],
             );
             concat_cols(&[&dzp, &drp], b, u, &mut g2);
@@ -855,17 +855,17 @@ impl Gru {
                 &du2,
                 u,
                 u,
-                &mut [self.whz.grad.as_mut_slice(), self.whr.grad.as_mut_slice()],
+                &mut [self.whz.grad_mut(..), self.whr.grad_mut(..)],
             );
             for i in 0..b * u {
                 rh[i] = rs[i] * hp[i];
             }
             duh.fill(0.0);
             pack::matmul_at_into(&rh, &dhhp, b, u, u, &mut duh);
-            add_col_blocks(&duh, u, u, &mut [self.whh.grad.as_mut_slice()]);
-            add_col_sums(&dzp, u, 0, self.bz.grad.as_mut_slice());
-            add_col_sums(&drp, u, 0, self.br.grad.as_mut_slice());
-            add_col_sums(&dhhp, u, 0, self.bh.grad.as_mut_slice());
+            add_col_blocks(&duh, u, u, &mut [self.whh.grad_mut(..)]);
+            add_col_sums(&dzp, u, 0, self.bz.grad_mut(..));
+            add_col_sums(&drp, u, 0, self.br.grad_mut(..));
+            add_col_sums(&dhhp, u, 0, self.bh.grad_mut(..));
 
             carry.copy_from_slice(&dh_prev);
         }
@@ -1050,7 +1050,7 @@ mod tests {
         assert_eq!(y.as_slice(), ref_y.as_slice(), "forward drifted");
         assert_eq!(dx.as_slice(), ref_dx.as_slice(), "dx drifted");
         for (p, want) in gru.params_mut().into_iter().zip(&ref_grads) {
-            assert_eq!(p.grad.as_slice(), want.as_slice(), "param grad drifted");
+            assert_eq!(p.grad().as_slice(), want.as_slice(), "param grad drifted");
         }
     }
 
@@ -1076,7 +1076,7 @@ mod tests {
         assert_eq!(bits(&y), bits(&ref_y), "forward drifted");
         assert_eq!(bits(&dx), bits(&ref_dx), "dx drifted");
         for (p, want) in gru.params_mut().into_iter().zip(&ref_grads) {
-            assert_eq!(bits(&p.grad), bits(want), "param grad drifted");
+            assert_eq!(bits(p.grad()), bits(want), "param grad drifted");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Long short-term memory layer (comparison baseline).
 
-use super::btc;
+use super::{add_to_grad, btc};
 use crate::{ActivationKind, Layer, Mode, Param};
 use pelican_tensor::{math, Init, SeededRng, Tensor};
 
@@ -206,18 +206,9 @@ impl Layer for Lstm {
                     .expect("dh_prev add");
                 dxt.add_assign(&dpre.matmul_bt(&self.wx[gi].value).expect("dx via W"))
                     .expect("dx add");
-                self.wx[gi]
-                    .grad
-                    .add_assign(&step.x.matmul_at(dpre).expect("dW"))
-                    .expect("dW shape");
-                self.wh[gi]
-                    .grad
-                    .add_assign(&step.h_prev.matmul_at(dpre).expect("dU"))
-                    .expect("dU shape");
-                self.b[gi]
-                    .grad
-                    .add_assign(&dpre.sum_axis0().expect("db"))
-                    .expect("db shape");
+                add_to_grad(&mut self.wx[gi], &step.x.matmul_at(dpre).expect("dW"));
+                add_to_grad(&mut self.wh[gi], &step.h_prev.matmul_at(dpre).expect("dU"));
+                add_to_grad(&mut self.b[gi], &dpre.sum_axis0().expect("db"));
             }
             for (bi, &row) in rows.iter().enumerate() {
                 let src = &dxt.as_slice()[bi * cin..(bi + 1) * cin];

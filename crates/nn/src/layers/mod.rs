@@ -26,6 +26,18 @@ pub(crate) fn btc(shape: &[usize]) -> (usize, usize, usize) {
     }
 }
 
+/// `p.grad += t` over the whole gradient, like `Tensor::add_assign`.
+///
+/// # Panics
+///
+/// If `t`'s shape is not the gradient's.
+pub(crate) fn add_to_grad(p: &mut crate::Param, t: &pelican_tensor::Tensor) {
+    assert_eq!(t.shape(), p.grad().shape(), "parameter gradient shape");
+    for (d, &s) in p.grad_mut(..).iter_mut().zip(t.as_slice()) {
+        *d += s;
+    }
+}
+
 /// Adds the column sums of columns `lo..lo + grad.len()` of the
 /// row-major `[rows, width]` matrix `src` to `grad`, summing rows in
 /// ascending order into a zeroed buffer first, like `Tensor::sum_axis0`

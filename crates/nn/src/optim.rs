@@ -11,6 +11,11 @@
 //! per-element formula; Rust never contracts to FMA and IEEE mul, div and
 //! sqrt are correctly rounded, so the packed instructions the compiler
 //! emits for the pass give the bits a scalar loop gives.
+//!
+//! The pass covers only the parameter's [`live`](Param::live) hull when
+//! the hyper-parameters make the update the identity on a `+0.0` gradient
+//! and `+0.0` state, which is what every element outside the hull holds;
+//! otherwise it covers the whole parameter ([`Param::sweep`], DESIGN §11).
 
 use crate::Param;
 
@@ -32,37 +37,10 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f32);
 }
 
-/// Destructures `p` for one zipped update sweep: its value, its gradient
-/// and its first `N` state slots (zero-allocated on first use).
-///
-/// # Panics
-///
-/// If the gradient or a state slot does not have one element per value
-/// element: a `zip` would otherwise stop silently at the shorter one.
-fn sweep<'a, const N: usize>(
-    p: &'a mut Param,
-    opt: &str,
-) -> (&'a mut [f32], &'a [f32], [&'a mut [f32]; N]) {
-    p.ensure_state(N);
-    let Param { value, grad, state } = p;
-    let n = value.len();
-    assert_eq!(
-        grad.len(),
-        n,
-        "{opt}: gradient has {} elements, parameter has {n}",
-        grad.len()
-    );
-    let mut slots = state.iter_mut().map(|s| {
-        assert_eq!(
-            s.len(),
-            n,
-            "{opt}: state slot has {} elements, parameter has {n}",
-            s.len()
-        );
-        s.as_mut_slice()
-    });
-    let slots = std::array::from_fn(|_| slots.next().expect("ensure_state made N slots"));
-    (value.as_mut_slice(), grad.as_slice(), slots)
+/// Whether `x · (+0.0)` is `+0.0`: `x` is finite with a clear sign bit.
+/// The hull sweeps below rest on it (DESIGN §11).
+fn keeps_plus_zero(x: f32) -> bool {
+    x.is_finite() && x.is_sign_positive()
 }
 
 /// Stochastic gradient descent with optional momentum.
@@ -87,13 +65,22 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [&mut Param]) {
         let (lr, momentum) = (self.lr, self.momentum);
+        // Plain SGD: θ + (−lr)·(+0) = θ. Momentum SGD is never swept on the
+        // hull: v = m·(+0) − lr·(+0) = +0, and θ + (+0) turns −0.0 into +0.0.
+        let on_hull = keeps_plus_zero(lr);
         for p in params {
             if momentum == 0.0 {
-                p.value
-                    .axpy(-lr, &p.grad)
-                    .expect("sgd: gradient shape differs from the parameter's");
+                assert_eq!(
+                    p.grad().shape(),
+                    p.value.shape(),
+                    "sgd: gradient shape differs from the parameter's"
+                );
+                let (value, grad, []) = p.sweep::<0>("sgd", on_hull);
+                for (th, &g) in value.iter_mut().zip(grad) {
+                    *th += -lr * g;
+                }
             } else {
-                let (value, grad, [v]) = sweep::<1>(p, "sgd momentum");
+                let (value, grad, [v]) = p.sweep::<1>("sgd momentum", false);
                 for ((th, v), &g) in value.iter_mut().zip(v.iter_mut()).zip(grad) {
                     *v = momentum * *v - lr * g;
                     *th += *v;
@@ -140,8 +127,10 @@ impl RmsProp {
 impl Optimizer for RmsProp {
     fn step(&mut self, params: &mut [&mut Param]) {
         let (lr, rho, eps) = (self.lr, self.rho, self.eps);
+        // c = ρ·(+0) + ((1−ρ)·(+0))·(+0) = +0 and θ − (lr·(+0))/(√(+0)+ε) = θ.
+        let on_hull = rho.is_finite() && keeps_plus_zero(lr) && eps > 0.0;
         for p in params {
-            let (value, grad, [cache]) = sweep::<1>(p, "rmsprop");
+            let (value, grad, [cache]) = p.sweep::<1>("rmsprop", on_hull);
             for ((th, c), &g) in value.iter_mut().zip(cache.iter_mut()).zip(grad) {
                 *c = rho * *c + (1.0 - rho) * g * g;
                 *th -= lr * g / (c.sqrt() + eps);
@@ -187,8 +176,15 @@ impl Optimizer for Adam {
         let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let b1t = 1.0 - beta1.powi(self.t as i32);
         let b2t = 1.0 - beta2.powi(self.t as i32);
+        // m = v = +0, so m̂ = v̂ = +0 and θ − (lr·(+0))/(√(+0)+ε) = θ.
+        let on_hull = beta1.is_finite()
+            && beta2.is_finite()
+            && b1t > 0.0
+            && b2t > 0.0
+            && keeps_plus_zero(lr)
+            && eps > 0.0;
         for p in params {
-            let (value, grad, [m, v]) = sweep::<2>(p, "adam");
+            let (value, grad, [m, v]) = p.sweep::<2>("adam", on_hull);
             for (((th, m), v), &g) in value
                 .iter_mut()
                 .zip(m.iter_mut())
@@ -243,8 +239,11 @@ impl Default for AdaDelta {
 impl Optimizer for AdaDelta {
     fn step(&mut self, params: &mut [&mut Param]) {
         let (lr, rho, eps) = (self.lr, self.rho, self.eps);
+        // eg = +0, δ = −(√ε/√ε)·(+0) = −0, ed = ρ·(+0) + ((1−ρ)·δ)·δ = +0
+        // and θ + lr·(−0) = θ.
+        let on_hull = rho.is_finite() && eps > 0.0 && eps.is_finite() && keeps_plus_zero(lr);
         for p in params {
-            let (value, grad, [eg, ed]) = sweep::<2>(p, "adadelta");
+            let (value, grad, [eg, ed]) = p.sweep::<2>("adadelta", on_hull);
             for (((th, eg), ed), &g) in value
                 .iter_mut()
                 .zip(eg.iter_mut())
@@ -276,7 +275,7 @@ mod tests {
     /// One optimizer step on f(θ) = θ² starting at θ = 1 (gradient 2).
     fn one_step(opt: &mut dyn Optimizer) -> f32 {
         let mut p = Param::new(Tensor::from_vec(vec![1], vec![1.0]).unwrap());
-        p.grad = Tensor::from_vec(vec![1], vec![2.0]).unwrap();
+        p.grad_mut(..)[0] = 2.0;
         opt.step(&mut [&mut p]);
         p.value.as_slice()[0]
     }
@@ -325,7 +324,7 @@ mod tests {
             // horizon so the test measures convergence, not speed.
             for _ in 0..3000 {
                 let theta = p.value.as_slice()[0];
-                p.grad = Tensor::from_vec(vec![1], vec![2.0 * theta]).unwrap();
+                p.grad_mut(..)[0] = 2.0 * theta;
                 opt.step(&mut [&mut p]);
             }
             let theta = p.value.as_slice()[0];
@@ -340,18 +339,19 @@ mod tests {
         let mut sgd = Sgd::new(0.1);
         let mut sgdm = Sgd::with_momentum(0.1, 0.9);
         for _ in 0..10 {
-            plain.grad = Tensor::from_vec(vec![1], vec![1.0]).unwrap();
-            mom.grad = Tensor::from_vec(vec![1], vec![1.0]).unwrap();
+            plain.grad_mut(..)[0] = 1.0;
+            mom.grad_mut(..)[0] = 1.0;
             sgd.step(&mut [&mut plain]);
             sgdm.step(&mut [&mut mom]);
         }
         assert!(mom.value.as_slice()[0] < plain.value.as_slice()[0]);
     }
 
-    /// One step on a 4-element parameter whose gradient has 3 elements.
+    /// One step on a 4-element parameter whose gradient has 3 elements
+    /// (its value was replaced after construction).
     fn step_with_short_grad(opt: &mut dyn Optimizer) {
-        let mut p = Param::new(Tensor::ones(vec![4]));
-        p.grad = Tensor::ones(vec![3]);
+        let mut p = Param::new(Tensor::ones(vec![3]));
+        p.value = Tensor::ones(vec![4]);
         opt.step(&mut [&mut p]);
     }
 
@@ -390,8 +390,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "rmsprop: gradient has 5 elements, parameter has 4")]
     fn rmsprop_rejects_longer_grad() {
-        let mut p = Param::new(Tensor::ones(vec![4]));
-        p.grad = Tensor::ones(vec![5]);
+        let mut p = Param::new(Tensor::ones(vec![5]));
+        p.value = Tensor::ones(vec![4]);
         RmsProp::new(0.01).step(&mut [&mut p]);
     }
 
@@ -399,7 +399,7 @@ mod tests {
     #[should_panic(expected = "adam: state slot has 2 elements, parameter has 4")]
     fn adam_rejects_mismatched_state_slot() {
         let mut p = Param::new(Tensor::ones(vec![4]));
-        p.state = vec![Tensor::zeros(vec![4]), Tensor::zeros(vec![2])];
+        p.set_state(vec![Tensor::zeros(vec![4]), Tensor::zeros(vec![2])]);
         Adam::new(0.01).step(&mut [&mut p]);
     }
 

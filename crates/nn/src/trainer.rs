@@ -150,7 +150,10 @@ impl Error for TrainError {}
 /// non-finite loss, gradient or updated parameter in any minibatch, or an
 /// epoch loss more than 10× the previous epoch's — restores the snapshot,
 /// halves the learning rate (compounding per retry) and retries the epoch
-/// with a freshly derived shuffle order; after
+/// with a freshly derived shuffle order. The halved rate outlives the
+/// epoch: the snapshot taken after a recovered epoch stores it, so a fault
+/// in a later epoch halves it again (0.01 → 0.005 → 0.0025 for faults in
+/// two epochs; DESIGN §7 gives why). After
 /// [`max_retries_per_epoch`](Self::max_retries_per_epoch) failed retries
 /// the run aborts with [`TrainError::Unrecoverable`]. The gradient and
 /// parameter checks cost one pass over the parameters per minibatch; they
@@ -249,11 +252,13 @@ impl Snapshot {
         let params = model.params_mut();
         Self {
             values: params.iter().map(|p| p.value.clone()).collect(),
-            states: params.iter().map(|p| p.state.clone()).collect(),
+            states: params.iter().map(|p| p.state().to_vec()).collect(),
             lr,
         }
     }
 
+    /// Writes the state through [`Param::set_state`](crate::Param::set_state),
+    /// which keeps each `live` hull covering it.
     fn restore(&self, model: &mut dyn Layer) {
         for (p, (v, s)) in model
             .params_mut()
@@ -261,7 +266,7 @@ impl Snapshot {
             .zip(self.values.iter().zip(&self.states))
         {
             p.value = v.clone();
-            p.state = s.clone();
+            p.set_state(s.clone());
             p.zero_grad();
         }
     }
@@ -540,7 +545,7 @@ impl Trainer {
                 let bad: usize = model
                     .params_mut()
                     .iter()
-                    .map(|p| p.grad.count_non_finite())
+                    .map(|p| p.grad().count_non_finite())
                     .sum();
                 if bad > 0 {
                     return Err(format!("{bad} non-finite gradient values"));
@@ -1013,14 +1018,30 @@ mod tests {
         assert!(rollbacks.iter().all(|e| e.tick == 1), "stamped with epoch");
     }
 
-    /// Softmax cross-entropy whose reported loss is 1000× too large on its
-    /// second call; the gradient is always the true one.
-    struct SpikeLoss(std::cell::Cell<usize>);
+    /// Softmax cross-entropy whose reported loss is 1000× too large on the
+    /// calls (1-based) listed in `spikes`; the gradient is always the true
+    /// one.
+    struct SpikeLoss {
+        calls: std::cell::Cell<usize>,
+        spikes: &'static [usize],
+    }
+    impl SpikeLoss {
+        fn new(spikes: &'static [usize]) -> Self {
+            Self {
+                calls: std::cell::Cell::new(0),
+                spikes,
+            }
+        }
+    }
     impl Loss for SpikeLoss {
         fn loss(&self, output: &Tensor, targets: &[usize]) -> (f32, Tensor) {
-            self.0.set(self.0.get() + 1);
+            self.calls.set(self.calls.get() + 1);
             let (l, grad) = SoftmaxCrossEntropy.loss(output, targets);
-            let scale = if self.0.get() == 2 { 1000.0 } else { 1.0 };
+            let scale = if self.spikes.contains(&self.calls.get()) {
+                1000.0
+            } else {
+                1.0
+            };
             (l * scale, grad)
         }
     }
@@ -1033,7 +1054,7 @@ mod tests {
         let rec = Arc::new(pelican_observe::InMemoryRecorder::new());
         let mut opt = Sgd::new(0.1);
         // One batch per epoch attempt, so call 2 is epoch 2's first attempt.
-        let spike = SpikeLoss(std::cell::Cell::new(0));
+        let spike = SpikeLoss::new(&[2]);
         let hist = pelican_observe::with_recorder(rec.clone(), || {
             let mut rng = SeededRng::new(0);
             let mut net = Sequential::new();
@@ -1066,6 +1087,47 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.1f32 * 0.5);
     }
 
+    /// The backoff outlives its epoch: the snapshot taken after a recovered
+    /// epoch stores the halved learning rate, so a fault in a later epoch
+    /// halves it again (DESIGN §7).
+    #[test]
+    fn rollbacks_in_two_epochs_compound_the_backoff() {
+        use pelican_observe::Recorder as _;
+        use std::sync::Arc;
+        let (x, y) = blobs(10, 36);
+        let rec = Arc::new(pelican_observe::InMemoryRecorder::new());
+        let mut opt = RmsProp::new(0.01);
+        // One batch per attempt: call 2 is epoch 2's first attempt, call 5
+        // epoch 4's (epoch 2's retry is call 3, epoch 3 call 4).
+        let spike = SpikeLoss::new(&[2, 5]);
+        let hist = pelican_observe::with_recorder(rec.clone(), || {
+            let mut rng = SeededRng::new(0);
+            let mut net = Sequential::new();
+            net.push(Dense::new(2, 2, &mut rng));
+            Trainer::new(TrainerConfig {
+                epochs: 4,
+                batch_size: x.shape()[0],
+                recovery: Some(RecoveryPolicy::default()),
+                ..Default::default()
+            })
+            .fit(&mut net, &spike, &mut opt, &x, &y, None)
+            .expect("two spikes are recoverable")
+        });
+        assert_eq!(
+            hist.epochs.iter().map(|e| e.recoveries).collect::<Vec<_>>(),
+            [0, 1, 0, 1]
+        );
+        let snap = rec.snapshot().unwrap();
+        let ticks: Vec<u64> = snap
+            .events
+            .iter()
+            .filter(|e| e.name == "trainer.rollback")
+            .map(|e| e.tick)
+            .collect();
+        assert_eq!(ticks, [2, 4]);
+        assert_eq!(opt.learning_rate(), 0.01f32 * 0.5 * 0.5);
+    }
+
     /// A [`Dense`] whose backward leaves one NaN in its weight gradient.
     struct NanGradDense(Dense);
     impl Layer for NanGradDense {
@@ -1074,7 +1136,7 @@ mod tests {
         }
         fn backward(&mut self, grad_out: &Tensor) -> Tensor {
             let dx = self.0.backward(grad_out);
-            self.0.params_mut()[0].grad.as_mut_slice()[0] = f32::NAN;
+            self.0.params_mut()[0].grad_mut(0..1)[0] = f32::NAN;
             dx
         }
         fn params_mut(&mut self) -> Vec<&mut crate::Param> {

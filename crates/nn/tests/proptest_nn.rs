@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn sgd_descends(v in -10.0f32..10.0, g in -5.0f32..5.0, lr in 0.001f32..0.5) {
         let mut p = Param::new(Tensor::from_vec(vec![1], vec![v]).unwrap());
-        p.grad = Tensor::from_vec(vec![1], vec![g]).unwrap();
+        p.grad_mut(..)[0] = g;
         Sgd::new(lr).step(&mut [&mut p]);
         let moved = p.value.as_slice()[0] - v;
         if g != 0.0 {
@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn rmsprop_steps_are_scale_free(g in prop::num::f32::NORMAL.prop_filter("nonzero", |v| v.abs() > 1e-3 && v.abs() < 1e6)) {
         let mut p = Param::new(Tensor::from_vec(vec![1], vec![0.0]).unwrap());
-        p.grad = Tensor::from_vec(vec![1], vec![g]).unwrap();
+        p.grad_mut(..)[0] = g;
         RmsProp::new(0.01).step(&mut [&mut p]);
         let step = p.value.as_slice()[0].abs();
         prop_assert!(step <= 0.01 / (0.1f32).sqrt() + 1e-4, "step {step} for grad {g}");

@@ -341,12 +341,6 @@ impl Tensor {
         self.data.iter().any(|v| !v.is_finite())
     }
 
-    /// Returns `true` if every element is finite (no NaN or infinity).
-    /// Vacuously true for an empty tensor.
-    pub fn is_all_finite(&self) -> bool {
-        !self.has_non_finite()
-    }
-
     /// Number of NaN or infinite elements.
     pub fn count_non_finite(&self) -> usize {
         self.data.iter().filter(|v| !v.is_finite()).count()
@@ -526,16 +520,16 @@ mod tests {
     #[test]
     fn finite_counting() {
         let ok = Tensor::from_vec(vec![3], vec![1.0, -2.0, 0.0]).unwrap();
-        assert!(ok.is_all_finite());
+        assert!(!ok.has_non_finite());
         assert_eq!(ok.count_non_finite(), 0);
         let bad = Tensor::from_vec(
             vec![4],
             vec![f32::NAN, 1.0, f32::INFINITY, f32::NEG_INFINITY],
         )
         .unwrap();
-        assert!(!bad.is_all_finite());
+        assert!(bad.has_non_finite());
         assert_eq!(bad.count_non_finite(), 3);
-        assert!(Tensor::zeros(vec![0]).is_all_finite());
+        assert!(!Tensor::zeros(vec![0]).has_non_finite());
     }
 
     #[test]

@@ -23,13 +23,17 @@ mod layer_reference;
 mod optim_reference;
 
 use pelican::nn::fault::Corruption;
+use pelican::nn::io::{self, CheckpointMeta};
+use pelican::nn::loss::{Loss, SoftmaxCrossEntropy};
 use pelican::nn::optim::{AdaDelta, Adam, Optimizer, RmsProp, Sgd};
-use pelican::nn::{BatchNorm, Conv1d, Dropout, Gru, Layer, MaxPool1d, Mode, Param};
+use pelican::nn::{BatchNorm, Conv1d, Dropout, Gru, Layer, MaxPool1d, Mode, Param, RecoveryPolicy};
 use pelican::prelude::*;
 use pelican::runtime::with_exec;
 use pelican::tensor::{pack, SeededRng, Tensor};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::cell::Cell;
+use std::ops::Range;
 
 /// Serial baseline, an even split, an odd split, and more workers than
 /// most test shapes have rows.
@@ -150,7 +154,7 @@ fn check_poisoned_gru(
             );
             for (i, (p, want)) in gru.params_mut().into_iter().zip(&want_grads).enumerate() {
                 prop_assert!(
-                    same_nan_positions_and_bits(p.grad.as_slice(), want.as_slice()),
+                    same_nan_positions_and_bits(p.grad().as_slice(), want.as_slice()),
                     "gru param {} grad {} @ {}",
                     i,
                     case,
@@ -286,13 +290,16 @@ fn optim_params(slots: usize, special_every: usize, rng: &mut SeededRng) -> Vec<
             let value = optim_values(len, 1.0, special_every, rng);
             let mut p = Param::new(Tensor::from_vec(vec![len], value).unwrap());
             if i % 2 == 1 {
-                for _ in 0..slots {
-                    let mut s = optim_values(len, 1e-3, special_every, rng);
-                    for v in s.iter_mut().step_by(5) {
-                        *v = f32::from_bits(rng.index(0x0080_0000) as u32);
-                    }
-                    p.state.push(Tensor::from_vec(vec![len], s).unwrap());
-                }
+                let state = (0..slots)
+                    .map(|_| {
+                        let mut s = optim_values(len, 1e-3, special_every, rng);
+                        for v in s.iter_mut().step_by(5) {
+                            *v = f32::from_bits(rng.index(0x0080_0000) as u32);
+                        }
+                        Tensor::from_vec(vec![len], s).unwrap()
+                    })
+                    .collect();
+                p.set_state(state);
             }
             p
         })
@@ -321,8 +328,8 @@ fn check_optimizer(
     for step in 0..50 {
         for (g, w) in got.iter_mut().zip(&mut want) {
             let grad = optim_values(g.len(), 1.0, special_every, &mut rng);
-            g.grad = Tensor::from_vec(vec![grad.len()], grad).unwrap();
-            w.grad = g.grad.clone();
+            g.grad_mut(..).copy_from_slice(&grad);
+            w.grad_mut(..).copy_from_slice(&grad);
         }
         opt.step(&mut got.iter_mut().collect::<Vec<_>>());
         reference(&mut want.iter_mut().collect::<Vec<_>>());
@@ -330,8 +337,8 @@ fn check_optimizer(
             let case = format!("{name} seed {seed} step {step} param {i} (len {})", g.len());
             let at = first_mismatch(g.value.as_slice(), w.value.as_slice());
             assert_eq!(at, None, "{case}: value");
-            assert_eq!(g.state.len(), w.state.len(), "{case}: slot count");
-            for (s, (gs, ws)) in g.state.iter().zip(&w.state).enumerate() {
+            assert_eq!(g.state().len(), w.state().len(), "{case}: slot count");
+            for (s, (gs, ws)) in g.state().iter().zip(w.state()).enumerate() {
                 let at = first_mismatch(gs.as_slice(), ws.as_slice());
                 assert_eq!(at, None, "{case}: state slot {s}");
             }
@@ -389,6 +396,368 @@ fn optimizers_match_indexed_reference() {
             }
         }
     }
+}
+
+/// A random sub-range of `within`, empty about one time in five.
+fn random_range(within: Range<usize>, rng: &mut SeededRng) -> Range<usize> {
+    if within.is_empty() || rng.index(5) == 0 {
+        return within.start..within.start;
+    }
+    let (a, b) = (rng.index(within.len()), rng.index(within.len()));
+    within.start + a.min(b)..within.start + a.max(b) + 1
+}
+
+/// Makes every element of every parameter live, so each optimizer sweeps
+/// the whole parameter, as it did before `live` hulls existed.
+fn force_full_hulls(params: &mut [&mut Param]) {
+    for p in params {
+        p.grad_mut(..);
+    }
+}
+
+/// Runs 5 steps of the optimizer `make` builds on parameters whose
+/// gradients are written only inside a random hull each (a fresh random
+/// sub-range per step, zeroed in between) and whose state is salted inside
+/// a random range and `+0.0` outside it; the values are salted everywhere
+/// with ±0, subnormals, ±Inf and quiet NaN payloads. After every step,
+/// value and state must match a copy whose hulls were forced full, run by
+/// a second instance of the same optimizer, and the full-sweep reference
+/// loop `reference`: bit for bit outside the hull (where the hull sweep
+/// touches nothing), and inside it with NaN where the others hold NaN.
+fn check_hull_sweep(
+    name: &str,
+    make: &dyn Fn() -> Box<dyn Optimizer>,
+    reference: &mut dyn FnMut(&mut [&mut Param]),
+    slots: usize,
+    seed: u64,
+) {
+    let mut rng = SeededRng::new(seed);
+    let mut hull: Vec<Param> = OPTIM_LENS
+        .iter()
+        .map(|&len| {
+            let value = optim_values(len, 1.0, 8, &mut rng);
+            let mut p = Param::new(Tensor::from_vec(vec![len], value).unwrap());
+            let salted = random_range(0..len, &mut rng);
+            let state = (0..slots)
+                .map(|_| {
+                    let mut s = vec![0.0f32; len];
+                    s[salted.clone()].copy_from_slice(&optim_values(
+                        salted.len(),
+                        1e-3,
+                        8,
+                        &mut rng,
+                    ));
+                    Tensor::from_vec(vec![len], s).unwrap()
+                })
+                .collect();
+            p.set_state(state);
+            p
+        })
+        .collect();
+    let writes: Vec<_> = hull
+        .iter()
+        .map(|p| random_range(0..p.len(), &mut rng))
+        .collect();
+    let mut full = hull.clone();
+    force_full_hulls(&mut full.iter_mut().collect::<Vec<_>>());
+    let mut want = hull.clone();
+    let (mut opt, mut full_opt) = (make(), make());
+    for step in 0..5 {
+        for (i, w) in writes.iter().enumerate() {
+            let r = random_range(w.clone(), &mut rng);
+            let g = optim_values(r.len(), 1.0, 8, &mut rng);
+            for p in [&mut hull[i], &mut full[i], &mut want[i]] {
+                p.zero_grad();
+                p.grad_mut(r.clone()).copy_from_slice(&g);
+            }
+        }
+        opt.step(&mut hull.iter_mut().collect::<Vec<_>>());
+        full_opt.step(&mut full.iter_mut().collect::<Vec<_>>());
+        reference(&mut want.iter_mut().collect::<Vec<_>>());
+        for (i, ((h, f), w)) in hull.iter().zip(&full).zip(&want).enumerate() {
+            let live = h.live();
+            let case = format!("{name} seed {seed} step {step} param {i} live {live:?}");
+            let pairs =
+                std::iter::once((h.value.as_slice(), f.value.as_slice(), w.value.as_slice()))
+                    .chain(
+                        h.state()
+                            .iter()
+                            .zip(f.state())
+                            .zip(w.state())
+                            .map(|((h, f), w)| (h.as_slice(), f.as_slice(), w.as_slice())),
+                    );
+            for (k, (h, f, w)) in pairs.enumerate() {
+                let what = if k == 0 {
+                    "value".to_string()
+                } else {
+                    format!("state slot {}", k - 1)
+                };
+                assert_eq!(first_mismatch(h, f), None, "{case}: {what} vs full hulls");
+                assert_eq!(first_mismatch(h, w), None, "{case}: {what} vs reference");
+                for outside in [0..live.start, live.end..h.len()] {
+                    assert_eq!(
+                        raw_bits(&h[outside.clone()]),
+                        raw_bits(&f[outside.clone()]),
+                        "{case}: {what} outside the hull"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Every optimizer configuration sweeping `live` hulls against full
+/// sweeps, over random hulls, at the working learning rate and at
+/// learning rates and RMSprop options outside the hull argument's domain
+/// (−0.0, negative, infinite lr; ρ outside [0, 1] or infinite; ε ≤ 0),
+/// where each must fall back to the full sweep.
+#[test]
+fn hull_sweeps_match_full_sweeps() {
+    for seed in 0..3u64 {
+        for lr in [0.01f32, 0.0, -0.0, -0.01, f32::INFINITY] {
+            let name = |opt: &str| format!("{opt} lr {lr}");
+            check_hull_sweep(
+                &name("sgd"),
+                &|| Box::new(Sgd::new(lr)),
+                &mut |ps| optim_reference::sgd(ps, lr, 0.0),
+                0,
+                seed,
+            );
+            check_hull_sweep(
+                &name("sgd momentum"),
+                &|| Box::new(Sgd::with_momentum(lr, 0.9)),
+                &mut |ps| optim_reference::sgd(ps, lr, 0.9),
+                1,
+                seed,
+            );
+            for (rho, eps) in [
+                (0.9, 1e-7),
+                (1.5, 1e-7),
+                (-0.5, 1e-7),
+                (f32::INFINITY, 1e-7),
+                (0.9, 0.0),
+                (0.9, -1e-7),
+            ] {
+                check_hull_sweep(
+                    &format!("{} rho {rho} eps {eps}", name("rmsprop")),
+                    &|| Box::new(RmsProp::with_options(lr, rho, eps)),
+                    &mut |ps| optim_reference::rmsprop(ps, lr, rho, eps),
+                    1,
+                    seed,
+                );
+            }
+            let mut t = 0;
+            check_hull_sweep(
+                &name("adam"),
+                &|| Box::new(Adam::new(lr)),
+                &mut |ps| optim_reference::adam(ps, &mut t, lr),
+                2,
+                seed,
+            );
+            check_hull_sweep(
+                &name("adadelta"),
+                &|| {
+                    let mut o = AdaDelta::new();
+                    o.set_learning_rate(lr);
+                    Box::new(o)
+                },
+                &mut |ps| optim_reference::adadelta(ps, lr),
+                2,
+                seed,
+            );
+        }
+    }
+}
+
+/// Why momentum SGD always sweeps whole parameters: a `-0.0` weight with a
+/// `+0.0` gradient and velocity becomes `+0.0` (`v = 0.9·0 − lr·0 = +0`,
+/// `θ + v = +0`), which a hull sweep that skipped it would not reproduce.
+/// So its step makes the whole parameter live.
+#[test]
+fn momentum_sgd_turns_negative_zero_weights_positive() {
+    let mut p = Param::new(Tensor::from_vec(vec![3], vec![-0.0, 1.0, -0.0]).unwrap());
+    p.grad_mut(1..2)[0] = 1.0;
+    Sgd::with_momentum(0.1, 0.9).step(&mut [&mut p]);
+    assert_eq!(
+        raw_bits(p.value.as_slice()),
+        raw_bits(&[0.0, 1.0 - 0.1, 0.0])
+    );
+    assert_eq!(p.live(), 0..3);
+    // Plain SGD leaves both −0.0 weights alone, inside the hull or not.
+    let mut q = Param::new(Tensor::from_vec(vec![3], vec![-0.0, 1.0, -0.0]).unwrap());
+    q.grad_mut(1..=2).fill(0.0);
+    Sgd::new(0.1).step(&mut [&mut q]);
+    assert_eq!(raw_bits(q.value.as_slice()), raw_bits(&[-0.0, 1.0, -0.0]));
+    assert_eq!(q.live(), 1..3);
+}
+
+/// A two-block Residual network at 8 features (sequence length 1), one
+/// batch of 16 rows for it, and its labels.
+fn hull_model() -> (Sequential, Tensor, Vec<usize>) {
+    let net = build_network(&NetConfig {
+        in_features: 8,
+        classes: 3,
+        blocks: 2,
+        residual: true,
+        kernel: 10,
+        dropout: 0.6,
+        seed: 11,
+    });
+    let mut rng = SeededRng::new(12);
+    let x = random_tensor(vec![16, 8], &mut rng);
+    let y = (0..16).map(|i| i % 3).collect();
+    (net, x, y)
+}
+
+/// One `Trainer::fit` step by hand: zero, forward, loss, backward, update.
+fn train_step(net: &mut dyn Layer, opt: &mut dyn Optimizer, x: &Tensor, y: &[usize]) {
+    net.zero_grad();
+    let out = net.forward(x, Mode::Train);
+    let (_, dout) = SoftmaxCrossEntropy.loss(&out, y);
+    net.backward(&dout);
+    opt.step(&mut net.params_mut());
+}
+
+/// Values and state slots of two models, bit for bit.
+fn assert_same_params(a: &mut dyn Layer, b: &mut dyn Layer, case: &str) {
+    for (i, (p, q)) in a.params_mut().into_iter().zip(b.params_mut()).enumerate() {
+        assert_eq!(bits(&p.value), bits(&q.value), "{case}: param {i} value");
+        assert_eq!(p.state().len(), q.state().len(), "{case}: param {i} slots");
+        for (s, (ps, qs)) in p.state().iter().zip(q.state()).enumerate() {
+            assert_eq!(bits(ps), bits(qs), "{case}: param {i} state slot {s}");
+        }
+    }
+}
+
+/// `params_mut()` index of the first block's GRU `Wr`: the block's
+/// pre-BN, Conv1d and BN come first (two tensors each), then `Wz`.
+const FIRST_GRU_WR: usize = 7;
+
+/// A step whose GRU takes the general (guard-fallback) path writes all
+/// nine GRU gradients and widens their hulls for good; later seq-1 steps
+/// sweep those hulls, and every step matches a model with full hulls.
+#[test]
+fn gru_guard_fallback_then_seq1_steps_match_full_hulls() {
+    let (mut hull, x, y) = hull_model();
+    let (mut full, _, _) = hull_model();
+    force_full_hulls(&mut full.params_mut());
+    let (mut opt, mut full_opt) = (RmsProp::new(0.01), RmsProp::new(0.01));
+    // A huge `Wr` entry fails the forward guard (`c·max|x|·max|Wr|`).
+    let wr0 = hull.params_mut()[FIRST_GRU_WR].value.as_slice()[0];
+    for net in [&mut hull, &mut full] {
+        net.params_mut()[FIRST_GRU_WR].value.as_mut_slice()[0] = f32::MAX;
+    }
+    train_step(&mut hull, &mut opt, &x, &y);
+    train_step(&mut full, &mut full_opt, &x, &y);
+    assert_same_params(&mut hull, &mut full, "fallback step");
+    let wr = &hull.params_mut()[FIRST_GRU_WR];
+    assert_eq!(wr.live(), 0..wr.len(), "the fallback wrote Wr's gradient");
+    for net in [&mut hull, &mut full] {
+        net.params_mut()[FIRST_GRU_WR].value.as_mut_slice()[0] = wr0;
+    }
+    for step in 0..4 {
+        train_step(&mut hull, &mut opt, &x, &y);
+        train_step(&mut full, &mut full_opt, &x, &y);
+        assert_same_params(&mut hull, &mut full, &format!("seq-1 step {step}"));
+    }
+    // The second block's GRU never fell back: its `Wr` is still dead.
+    assert_eq!(hull.params_mut()[FIRST_GRU_WR + 15].live(), 0..0);
+}
+
+/// A v2 checkpoint whose optimizer state is nonzero everywhere, also
+/// where a fresh model's gradients never reach, loads into a fresh model
+/// with every element live, and training on from it matches a model with
+/// full hulls.
+#[test]
+fn checkpoint_state_outside_the_hull_widens_it() {
+    let (mut trained, x, y) = hull_model();
+    let mut opt = RmsProp::new(0.01);
+    for _ in 0..2 {
+        train_step(&mut trained, &mut opt, &x, &y);
+    }
+    let mut rng = SeededRng::new(13);
+    for p in trained.params_mut() {
+        let cache = (0..p.len())
+            .map(|_| 1e-6 + rng.normal().abs() * 1e-3)
+            .collect();
+        p.set_state(vec![
+            Tensor::from_vec(p.value.shape().to_vec(), cache).unwrap()
+        ]);
+    }
+    let meta = CheckpointMeta {
+        epoch: 2,
+        learning_rate: 0.01,
+    };
+    let bytes = io::checkpoint_to_bytes(&mut trained, meta);
+    let (mut hull, _, _) = hull_model();
+    let (mut full, _, _) = hull_model();
+    force_full_hulls(&mut full.params_mut());
+    for net in [&mut hull, &mut full] {
+        io::checkpoint_from_bytes(net, &bytes).expect("v2 load");
+    }
+    for p in hull.params_mut() {
+        assert_eq!(p.live(), 0..p.len(), "loaded state widens the hull");
+    }
+    let (mut opt, mut full_opt) = (RmsProp::new(0.01), RmsProp::new(0.01));
+    for step in 0..3 {
+        train_step(&mut hull, &mut opt, &x, &y);
+        train_step(&mut full, &mut full_opt, &x, &y);
+        assert_same_params(&mut hull, &mut full, &format!("step {step} after load"));
+    }
+}
+
+/// Softmax cross-entropy that reports a NaN loss on its `nan_at`-th call.
+struct NanOnCall {
+    calls: Cell<usize>,
+    nan_at: usize,
+}
+
+impl Loss for NanOnCall {
+    fn loss(&self, output: &Tensor, targets: &[usize]) -> (f32, Tensor) {
+        self.calls.set(self.calls.get() + 1);
+        let (l, grad) = SoftmaxCrossEntropy.loss(output, targets);
+        (
+            if self.calls.get() == self.nan_at {
+                f32::NAN
+            } else {
+                l
+            },
+            grad,
+        )
+    }
+}
+
+/// A `RecoveryPolicy` rollback restores values and optimizer state
+/// through `Param::set_state`; the run that follows matches a model with
+/// full hulls bit for bit.
+#[test]
+fn rollback_matches_full_hulls() {
+    let (mut hull, x, y) = hull_model();
+    let (mut full, _, _) = hull_model();
+    force_full_hulls(&mut full.params_mut());
+    let fit = |net: &mut Sequential| {
+        Trainer::new(TrainerConfig {
+            epochs: 3,
+            batch_size: 4,
+            recovery: Some(RecoveryPolicy::default()),
+            ..Default::default()
+        })
+        .fit(
+            net,
+            &NanOnCall {
+                calls: Cell::new(0),
+                nan_at: 7,
+            },
+            &mut RmsProp::new(0.01),
+            &x,
+            &y,
+            None,
+        )
+        .expect("one fault is recoverable")
+    };
+    assert_eq!(fit(&mut hull).total_recoveries, 1);
+    assert_eq!(fit(&mut full).total_recoveries, 1);
+    assert_same_params(&mut hull, &mut full, "after rollback");
 }
 
 /// Packed GEMM vs the retained seed kernel, at one (m, k, n, seg).
@@ -594,7 +963,7 @@ proptest! {
                 prop_assert_eq!(bits(&dx), bits(&want_dx), "conv dx @ {}", workers);
                 let params = conv.params_mut();
                 let got: Vec<Vec<u32>> =
-                    params.iter().map(|p| raw_bits(p.grad.as_slice())).collect();
+                    params.iter().map(|p| raw_bits(p.grad().as_slice())).collect();
                 prop_assert_eq!(got, vec![bits(&want_dw), bits(&want_db)],
                     "conv grads @ {}", workers);
                 Ok(())
@@ -624,7 +993,7 @@ proptest! {
                 let dx = gru.backward(&g);
                 prop_assert_eq!(bits(&dx), bits(&want_dx), "gru dx @ {}", workers);
                 for (p, want) in gru.params_mut().into_iter().zip(&want_grads) {
-                    prop_assert_eq!(raw_bits(p.grad.as_slice()), bits(want),
+                    prop_assert_eq!(raw_bits(p.grad().as_slice()), bits(want),
                         "gru param grad @ {}", workers);
                 }
                 Ok(())
@@ -773,8 +1142,8 @@ fn batchnorm_matches_reference() {
         assert_eq!(dx.shape(), shape, "{case}");
         assert_same_bits(&dx, &want.backward(dy), &case, "dx");
         let ps = bn.params_mut();
-        assert_same_bits(&ps[0].grad, &want.gamma_grad, &case, "dgamma");
-        assert_same_bits(&ps[1].grad, &want.beta_grad, &case, "dbeta");
+        assert_same_bits(ps[0].grad(), &want.gamma_grad, &case, "dgamma");
+        assert_same_bits(ps[1].grad(), &want.beta_grad, &case, "dbeta");
         assert_same_bits(bn.running_mean(), &want.running_mean, &case, "mean");
         assert_same_bits(bn.running_var(), &want.running_var, &case, "var");
         let y_eval = bn.forward(dy, Mode::Eval);

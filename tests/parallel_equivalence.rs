@@ -57,7 +57,7 @@ fn layer_fwd_bwd<L: Layer>(make: impl Fn() -> L, x: &Tensor, grad_seed: u64) -> 
     let dx = layer.backward(&g);
     let mut out = vec![bits(&y), bits(&dx)];
     for p in layer.params_mut() {
-        out.push(p.grad.as_slice().iter().map(|v| v.to_bits()).collect());
+        out.push(p.grad().as_slice().iter().map(|v| v.to_bits()).collect());
     }
     out
 }

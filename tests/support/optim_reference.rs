@@ -1,9 +1,11 @@
 //! Reference optimizer updates: the indexed per-element loops the four
 //! optimizers in `pelican_nn::optim` ran before they became zipped sweeps,
 //! with the default hyper-parameters of each constructor passed in
-//! explicitly. `tests/kernel_equivalence.rs` checks the sweeps against
-//! them bit for bit, and `bench_kernels` times RMSprop against its loop.
-//! Nothing outside tests and benches uses them.
+//! explicitly. Each sweeps the whole parameter (`Param::sweep` with
+//! `on_hull` false), so they are also the full-sweep oracle for the
+//! optimizers' hull sweeps. `tests/kernel_equivalence.rs` checks the
+//! sweeps against them bit for bit, and `bench_kernels` times RMSprop
+//! against its loop. Nothing outside tests and benches uses them.
 
 // Each including crate uses a different subset.
 #![allow(dead_code)]
@@ -14,16 +16,16 @@ use pelican_nn::Param;
 pub fn sgd(params: &mut [&mut Param], lr: f32, momentum: f32) {
     for p in params {
         if momentum == 0.0 {
-            let grad = p.grad.clone();
+            let grad = p.grad().clone();
             p.value.axpy(-lr, &grad).expect("sgd shapes");
         } else {
-            p.ensure_state(1);
-            let (g, v) = (p.grad.as_slice().to_vec(), &mut p.state[0]);
-            for (vi, &gi) in v.as_mut_slice().iter_mut().zip(&g) {
+            let (value, g, [v]) = p.sweep::<1>("reference", false);
+            for (vi, &gi) in v.iter_mut().zip(g) {
                 *vi = momentum * *vi - lr * gi;
             }
-            let v = p.state[0].clone();
-            p.value.add_assign(&v).expect("sgd momentum shapes");
+            for (th, &vi) in value.iter_mut().zip(v.iter()) {
+                *th += vi;
+            }
         }
     }
 }
@@ -31,13 +33,11 @@ pub fn sgd(params: &mut [&mut Param], lr: f32, momentum: f32) {
 /// `RmsProp::with_options(lr, rho, eps)`.
 pub fn rmsprop(params: &mut [&mut Param], lr: f32, rho: f32, eps: f32) {
     for p in params {
-        p.ensure_state(1);
-        let n = p.value.len();
-        for i in 0..n {
-            let g = p.grad.as_slice()[i];
-            let cache = &mut p.state[0].as_mut_slice()[i];
-            *cache = rho * *cache + (1.0 - rho) * g * g;
-            p.value.as_mut_slice()[i] -= lr * g / (cache.sqrt() + eps);
+        let (value, grad, [cache]) = p.sweep::<1>("reference", false);
+        for i in 0..value.len() {
+            let g = grad[i];
+            cache[i] = rho * cache[i] + (1.0 - rho) * g * g;
+            value[i] -= lr * g / (cache[i].sqrt() + eps);
         }
     }
 }
@@ -50,17 +50,14 @@ pub fn adam(params: &mut [&mut Param], t: &mut u64, lr: f32) {
     let b1t = 1.0 - beta1.powi(*t as i32);
     let b2t = 1.0 - beta2.powi(*t as i32);
     for p in params {
-        p.ensure_state(2);
-        let n = p.value.len();
-        for i in 0..n {
-            let g = p.grad.as_slice()[i];
-            let m = &mut p.state[0].as_mut_slice()[i];
-            *m = beta1 * *m + (1.0 - beta1) * g;
-            let mhat = *m / b1t;
-            let v = &mut p.state[1].as_mut_slice()[i];
-            *v = beta2 * *v + (1.0 - beta2) * g * g;
-            let vhat = *v / b2t;
-            p.value.as_mut_slice()[i] -= lr * mhat / (vhat.sqrt() + eps);
+        let (value, grad, [m, v]) = p.sweep::<2>("reference", false);
+        for i in 0..value.len() {
+            let g = grad[i];
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g;
+            let mhat = m[i] / b1t;
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g;
+            let vhat = v[i] / b2t;
+            value[i] -= lr * mhat / (vhat.sqrt() + eps);
         }
     }
 }
@@ -69,17 +66,13 @@ pub fn adam(params: &mut [&mut Param], t: &mut u64, lr: f32) {
 pub fn adadelta(params: &mut [&mut Param], lr: f32) {
     let (rho, eps) = (0.95f32, 1e-6f32);
     for p in params {
-        p.ensure_state(2);
-        let n = p.value.len();
-        for i in 0..n {
-            let g = p.grad.as_slice()[i];
-            let eg = &mut p.state[0].as_mut_slice()[i];
-            *eg = rho * *eg + (1.0 - rho) * g * g;
-            let eg_v = *eg;
-            let ed = &mut p.state[1].as_mut_slice()[i];
-            let delta = -((*ed + eps).sqrt() / (eg_v + eps).sqrt()) * g;
-            *ed = rho * *ed + (1.0 - rho) * delta * delta;
-            p.value.as_mut_slice()[i] += lr * delta;
+        let (value, grad, [eg, ed]) = p.sweep::<2>("reference", false);
+        for i in 0..value.len() {
+            let g = grad[i];
+            eg[i] = rho * eg[i] + (1.0 - rho) * g * g;
+            let delta = -((ed[i] + eps).sqrt() / (eg[i] + eps).sqrt()) * g;
+            ed[i] = rho * ed[i] + (1.0 - rho) * delta * delta;
+            value[i] += lr * delta;
         }
     }
 }
