@@ -10,7 +10,9 @@
 //! thread — the speedup asserted here is single-thread ILP, not
 //! parallelism, and results stay bit-identical (checked in-bench and,
 //! exhaustively, by `tests/kernel_equivalence.rs`). The `matmul_at` entry
-//! times the funnel's engine against the scalar loop at one shape, and the
+//! times the funnel's engine against the scalar loop at one shape, the
+//! `matmul_at_train` entry times it at the GRU's Table-I weight-gradient
+//! shape (4000 × 196 × 392) against `gemm_bt` at equal FLOPs, and the
 //! `tanh` entry `math::tanh_in_place` against an `f32::tanh` loop over the
 //! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal. The
 //! `rmsprop` entry times `RmsProp::step`'s zipped sweep against the indexed
@@ -114,6 +116,37 @@ fn matmul_at_case(k: usize, m: usize, n: usize, iters: usize) -> (f64, f64) {
         "matmul_at engine drifted from the scalar loop at {k}x{m}x{n}"
     );
     (scalar_s * 1e9, engine_s * 1e9)
+}
+
+/// The funnel's `matmul_at` engine at the GRU's train-shape weight
+/// gradient `xᵀ·[dz | dh̃]` (`k` rows of `t`, `m` inputs, `n` gate
+/// columns) against `gemm_bt` over the same FLOPs (`A (k×m) · Bᵀ`, `n`
+/// columns), one thread; returns `(engine_ns, gemm_bt_ns)`. The engine's
+/// result is checked bit-equal to the scalar loop once, untimed.
+fn matmul_at_train_case(k: usize, m: usize, n: usize, iters: usize) -> (f64, f64) {
+    let a = random_vec(k * m, 34);
+    let b = random_vec(k * n, 35);
+    let bt = random_vec(n * m, 36);
+    let mut out = vec![0.0f32; m * n];
+    let mut want = vec![0.0f32; m * n];
+    let mut gemm_out = vec![0.0f32; k * n];
+    pack::matmul_at_rows(&a, &b, &mut want, k, m, n, 0);
+    let engine_s = time_it(5, iters, || {
+        out.fill(0.0);
+        with_workers(1, || pack::matmul_at_into(&a, &b, k, m, n, &mut out));
+    });
+    let gemm_s = time_it(5, iters, || {
+        with_workers(1, || pack::gemm_bt(&a, &bt, k, m, n, m, &mut gemm_out));
+    });
+    let same = out
+        .iter()
+        .zip(&want)
+        .all(|(x, y)| x.to_bits() == y.to_bits());
+    assert!(
+        same,
+        "matmul_at engine drifted from the scalar loop at {k}x{m}x{n}"
+    );
+    (engine_s * 1e9, gemm_s * 1e9)
 }
 
 /// `math::tanh_in_place` vs an `f32::tanh` loop over `n` elements, one
@@ -229,6 +262,15 @@ fn main() {
         "[kernels] matmul_at {at_k}x{at_m}x{at_n}: scalar {at_scalar_ns:.0} ns, {engine} {at_engine_ns:.0} ns → {at_speedup:.2}×"
     );
 
+    // matmul_at at the GRU's Table-I train shape (batch 4000, 196
+    // inputs, 392 gate columns) against gemm_bt at equal FLOPs.
+    let (tr_k, tr_m, tr_n) = (4000usize, 196usize, 392usize);
+    let (tr_engine_ns, tr_gemm_ns) = matmul_at_train_case(tr_k, tr_m, tr_n, 5);
+    let tr_ratio = tr_gemm_ns / tr_engine_ns;
+    eprintln!(
+        "[kernels] matmul_at_train {tr_k}x{tr_m}x{tr_n}: {engine} {tr_engine_ns:.0} ns, gemm_bt {tr_gemm_ns:.0} ns → {tr_ratio:.2}× gemm_bt's rate"
+    );
+
     // tanh: the GRU candidate pass at b = 4000, u = 196.
     let tanh_n = 4000 * 196;
     let (tanh_libm_ns, tanh_engine_ns) = tanh_case(tanh_n, 10);
@@ -319,7 +361,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"rmsprop\": {{\"tensors\": {}, \"params\": {}, \"reference_ns\": {:.0}, \"sweep_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; rmsprop compares RmsProp::step's zipped sweep against the indexed per-element loop it replaced over the 77 parameter tensors of the k-fold model (Residual-21, 121 features), one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
+        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"matmul_at_train\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"engine_ns\": {:.0}, \"gemm_bt_ns\": {:.0}, \"rate_vs_gemm_bt\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"rmsprop\": {{\"tensors\": {}, \"params\": {}, \"reference_ns\": {:.0}, \"sweep_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; matmul_at_train times the engine at the GRU's Table-I weight-gradient shape against gemm_bt at equal FLOPs, one thread (rate_vs_gemm_bt = gemm_bt_ns / engine_ns); tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; rmsprop compares RmsProp::step's zipped sweep against the indexed per-element loop it replaced over the 77 parameter tensors of the k-fold model (Residual-21, 121 features), one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
         engine,
         gemm_json.join(",\n"),
         min_speedup,
@@ -329,6 +371,12 @@ fn main() {
         at_scalar_ns,
         at_engine_ns,
         at_speedup,
+        tr_k,
+        tr_m,
+        tr_n,
+        tr_engine_ns,
+        tr_gemm_ns,
+        tr_ratio,
         tanh_n,
         tanh_libm_ns,
         tanh_engine_ns,

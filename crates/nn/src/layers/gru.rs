@@ -45,8 +45,10 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 /// The paper feeds every GRU one time step, so the only hidden state it
 /// sees is h₀ = 0. There every recurrent product is `+0.0` and the reset
 /// gate is dead (`r ⊙ h₀ = 0`), so the step computes only the live work:
-/// one `[b, 2·units]` GEMM over `[Wz | Wh]` forward; backward, `dx` as a
-/// two-segment `[dz | dh̃]·[Wz | Wh]ᵀ` product and `dW` as `xᵀ·[dz | dh̃]`.
+/// one `[b, 2·units]` GEMM over `[Wz | Wh]` forward, whose epilogue runs
+/// the element passes on each pool row chunk and leaves `[z_pre | h̃]` in
+/// the GEMM's output as the Train cache; backward, `dx` as a two-segment
+/// `[dz | dh̃]·[Wz | Wh]ᵀ` product and `dW` as `xᵀ·[dz | dh̃]`.
 /// Each skip is taken only when it is provably exact — all operands it
 /// drops are finite and bounded so that `r` and `da = dh̃·Uhᵀ` stay finite
 /// — and the products are computed otherwise, so NaN and ±Inf propagate
@@ -92,13 +94,10 @@ enum GruCache {
     /// The general fused step, one entry per time step.
     Steps(Vec<StepCache>),
     /// The sequence-length-1 step from h₀ = 0: the reset gate and the
-    /// recurrent products were skipped, so only these survive.
-    Seq1 {
-        x: Tensor,
-        z: Vec<f32>,
-        hh: Vec<f32>,
-        z_pre: Vec<f32>,
-    },
+    /// recurrent products were skipped, so only the input and
+    /// `zh[bi·2u ..] = [z_pre | h̃]` survive; the backward recomputes
+    /// `z = hardσ(z_pre)`.
+    Seq1 { x: Tensor, zh: Vec<f32> },
 }
 
 #[derive(Debug)]
@@ -233,6 +232,33 @@ fn max_abs(v: &[f32]) -> Option<f32> {
 /// rounding.
 fn bounded(k: usize, a: f32, b: f32) -> bool {
     k as f64 * f64::from(a) * f64::from(b) <= f64::from(f32::MAX) / 2.0
+}
+
+/// The sequence-length-1 element passes over rows of the GEMM output
+/// `zh = [x·Wz | x·Wh]` and of the output `out`: the candidate
+/// h̃_pre = (x·Wh + 0.0) + bh goes to `out` for one [`math::tanh_in_place`]
+/// pass over the rows, then per element z_pre = (x·Wz + 0.0) + bz,
+/// z = hardσ(z_pre) and h = (z·0.0) + ((1 − z)·h̃), leaving
+/// `zh = [z_pre | h̃]` and `out = h`.
+fn seq1_rows(zh: &mut [f32], out: &mut [f32], bz: &[f32], bh: &[f32]) {
+    let u = bz.len();
+    for (orow, row) in out.chunks_exact_mut(u).zip(zh.chunks_exact(2 * u)) {
+        for ((o, &xv), &bv) in orow.iter_mut().zip(&row[u..]).zip(bh) {
+            *o = (xv + 0.0) + bv;
+        }
+    }
+    math::tanh_in_place(out);
+    for (orow, row) in out.chunks_exact_mut(u).zip(zh.chunks_exact_mut(2 * u)) {
+        let (zrow, hrow) = row.split_at_mut(u);
+        for (((o, zp), hh), &bv) in orow.iter_mut().zip(zrow).zip(hrow).zip(bz) {
+            let h = *o;
+            let p = (*zp + 0.0) + bv;
+            let zv = ActivationKind::HardSigmoid.apply(p);
+            *o = (zv * 0.0) + ((1.0 - zv) * h);
+            *zp = p;
+            *hh = h;
+        }
+    }
 }
 
 impl Gru {
@@ -503,65 +529,36 @@ impl Gru {
     /// general step's element passes with every recurrent product
     /// replaced by the `+0.0` it returns. The literal `+ 0.0` and `z·0.0`
     /// terms stay because they fix the sign of zero and NaN as the
-    /// reference does.
+    /// reference does. The element passes run in the GEMM's epilogue
+    /// ([`seq1_rows`]), on each row chunk as the pool finishes it.
     fn forward_seq1(&self, input: &Tensor, b: usize, mode: Mode) -> (Tensor, Option<GruCache>) {
         let (c, u) = (self.in_channels, self.units);
-        // xw[bi·2u ..] = [x·Wz | x·Wh]; x·Wr only ever fed the dead reset
-        // gate.
-        let mut xw = workspace::take(b * 2 * u);
-        pack::gemm_bt(input.as_slice(), &self.seq1.w_zh_t, b, c, 2 * u, c, &mut xw);
-        let (bz, bh) = (self.bz.value.as_slice(), self.bh.value.as_slice());
-        let train = mode == Mode::Train;
-        // Candidate: h̃_pre = (x·Wh + 0.0) + bh, then one vector tanh pass.
-        let hh = Candidate::new(b * u, train, |hh| {
-            for (hrow, row) in hh.chunks_exact_mut(u).zip(xw.chunks_exact(2 * u)) {
-                for ((h, &xv), &bv) in hrow.iter_mut().zip(&row[u..]).zip(bh) {
-                    *h = (xv + 0.0) + bv;
-                }
-            }
-        });
-        // Update gate and output: z_pre = (x·Wz + 0.0) + bz, z = hardσ(z_pre),
-        // h = (z·0.0) + ((1 − z)·h̃), row by row; Train also keeps z and
-        // z_pre for the backward.
-        let mut out = vec![0.0f32; b * u];
-        let rows = out
-            .chunks_exact_mut(u)
-            .zip(hh.chunks_exact(u))
-            .zip(xw.chunks_exact(2 * u));
-        let cache = if train {
-            let (mut z, mut z_pre) = (vec![0.0f32; b * u], vec![0.0f32; b * u]);
-            for (((orow, hrow), xrow), (zrow, zprow)) in
-                rows.zip(z.chunks_exact_mut(u).zip(z_pre.chunks_exact_mut(u)))
-            {
-                for ((((o, &h), &xv), &bv), (zo, zpo)) in orow
-                    .iter_mut()
-                    .zip(hrow)
-                    .zip(&xrow[..u])
-                    .zip(bz)
-                    .zip(zrow.iter_mut().zip(zprow))
-                {
-                    let zp = (xv + 0.0) + bv;
-                    let zv = ActivationKind::HardSigmoid.apply(zp);
-                    *o = (zv * 0.0) + ((1.0 - zv) * h);
-                    *zpo = zp;
-                    *zo = zv;
-                }
-            }
-            Some(GruCache::Seq1 {
-                x: input.clone(),
-                z,
-                hh: hh.into_kept(),
-                z_pre,
-            })
+        // zh[bi·2u ..] = [x·Wz | x·Wh], rewritten in place as [z_pre | h̃];
+        // x·Wr only ever fed the dead reset gate. Train keeps it as the
+        // cache, Eval borrows workspace scratch.
+        let (mut kept, mut scratch);
+        let zh: &mut [f32] = if mode == Mode::Train {
+            kept = vec![0.0f32; b * 2 * u];
+            &mut kept
         } else {
-            for ((orow, hrow), xrow) in rows {
-                for (((o, &h), &xv), &bv) in orow.iter_mut().zip(hrow).zip(&xrow[..u]).zip(bz) {
-                    let zv = ActivationKind::HardSigmoid.apply((xv + 0.0) + bv);
-                    *o = (zv * 0.0) + ((1.0 - zv) * h);
-                }
-            }
-            None
+            kept = Vec::new();
+            scratch = workspace::take(b * 2 * u);
+            &mut scratch
         };
+        let mut out = vec![0.0f32; b * u];
+        let (bz, bh) = (self.bz.value.as_slice(), self.bh.value.as_slice());
+        pack::gemm_bt_then(
+            input.as_slice(),
+            &self.seq1.w_zh_t,
+            (b, c, 2 * u, c),
+            zh,
+            &mut out,
+            |zh, out| seq1_rows(zh, out, bz, bh),
+        );
+        let cache = (mode == Mode::Train).then(|| GruCache::Seq1 {
+            x: input.clone(),
+            zh: kept,
+        });
         let out = Tensor::from_vec(vec![b, 1, u], out).expect("gru seq1 output");
         (out, cache)
     }
@@ -684,30 +681,19 @@ impl Gru {
     /// `dU = h₀ᵀ·g` is exactly `+0.0` under `matmul_at`'s zero-skip, so
     /// neither is formed either. Returns `None`, touching no gradient,
     /// when the guard fails.
-    fn backward_seq1(
-        &mut self,
-        x: &[f32],
-        z: &[f32],
-        hh: &[f32],
-        z_pre: &[f32],
-        dy: &[f32],
-        b: usize,
-    ) -> Option<Vec<f32>> {
+    fn backward_seq1(&mut self, x: &[f32], zh: &[f32], dy: &[f32], b: usize) -> Option<Vec<f32>> {
         let (c, u) = (self.in_channels, self.units);
         // g[bi·2u ..] = [dz_pre | dh̃_pre], the interleaved operand of both
         // GEMMs, written in place.
         let mut g = workspace::take(b * 2 * u);
-        let rows = (z.chunks_exact(u).zip(hh.chunks_exact(u)))
-            .zip(z_pre.chunks_exact(u).zip(dy.chunks_exact(u)));
-        for (grow, ((zrow, hrow), (zprow, dyrow))) in g.chunks_exact_mut(2 * u).zip(rows) {
+        let rows = zh.chunks_exact(2 * u).zip(dy.chunks_exact(u));
+        for (grow, (zhrow, dyrow)) in g.chunks_exact_mut(2 * u).zip(rows) {
             let (gz, gh) = grow.split_at_mut(u);
-            for ((((dzp, dhhp), (&zv, &h)), &zp), &d) in gz
-                .iter_mut()
-                .zip(gh)
-                .zip(zrow.iter().zip(hrow))
-                .zip(zprow)
-                .zip(dyrow)
+            let (zprow, hrow) = zhrow.split_at(u);
+            for ((((dzp, dhhp), &zp), &h), &d) in
+                gz.iter_mut().zip(gh).zip(zprow).zip(hrow).zip(dyrow)
             {
+                let zv = ActivationKind::HardSigmoid.apply(zp);
                 let g = d + 0.0;
                 let dz = (g * 0.0) - (g * h);
                 let dhh = g * (1.0 - zv);
@@ -908,15 +894,16 @@ impl Layer for Gru {
         assert_eq!(dy.len(), b * t * self.units, "gru grad length");
         let dx = match &cache {
             GruCache::Steps(steps) => self.backward_steps(steps, dy, b, t),
-            GruCache::Seq1 { x, z, hh, z_pre } => self
-                .backward_seq1(x.as_slice(), z, hh, z_pre, dy, b)
-                .unwrap_or_else(|| {
-                    // A skipped product may be non-finite: rerun the step
-                    // on the general path, which computes every product.
-                    let (_, steps) = self.forward_steps(x, b, 1, Mode::Train);
-                    let steps = steps.expect("gru train cache");
-                    self.backward_steps(&steps, dy, b, 1)
-                }),
+            GruCache::Seq1 { x, zh } => {
+                self.backward_seq1(x.as_slice(), zh, dy, b)
+                    .unwrap_or_else(|| {
+                        // A skipped product may be non-finite: rerun the step
+                        // on the general path, which computes every product.
+                        let (_, steps) = self.forward_steps(x, b, 1, Mode::Train);
+                        let steps = steps.expect("gru train cache");
+                        self.backward_steps(&steps, dy, b, 1)
+                    })
+            }
         };
         self.cache = Some(cache);
         Tensor::from_vec(shape, dx).expect("gru dx shape")

@@ -106,6 +106,12 @@ impl Param {
         self.state = state;
     }
 
+    /// The hull of the gradient elements written since the last
+    /// [`zero_grad`](Self::zero_grad): outside it the gradient is `+0.0`.
+    pub fn written(&self) -> Range<usize> {
+        self.written.clone()
+    }
+
     /// The hull of every gradient element written since [`Param::new`]
     /// and every nonzero state element set since: outside it the gradient
     /// and every state slot are `+0.0`.

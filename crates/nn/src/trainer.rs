@@ -155,10 +155,11 @@ impl Error for TrainError {}
 /// in a later epoch halves it again (0.01 → 0.005 → 0.0025 for faults in
 /// two epochs; DESIGN §7 gives why). After
 /// [`max_retries_per_epoch`](Self::max_retries_per_epoch) failed retries
-/// the run aborts with [`TrainError::Unrecoverable`]. The gradient and
-/// parameter checks cost one pass over the parameters per minibatch; they
-/// cannot be switched off, because a NaN activation can reach the weights
-/// through a finite loss.
+/// the run aborts with [`TrainError::Unrecoverable`]. The checks cost one
+/// pass per minibatch over the parameters and over the gradient range each
+/// backward wrote ([`Param::written`](crate::Param::written); the rest is
+/// `+0.0`); they cannot be switched off, because a NaN activation can
+/// reach the weights through a finite loss.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Rollbacks allowed per epoch before giving up.
@@ -542,10 +543,14 @@ impl Trainer {
                 model.backward(&dout);
             }
             if check_grads {
+                // Outside `written` the gradient is +0.0 by construction.
                 let bad: usize = model
                     .params_mut()
                     .iter()
-                    .map(|p| p.grad().count_non_finite())
+                    .map(|p| {
+                        let g = &p.grad().as_slice()[p.written()];
+                        g.iter().filter(|v| !v.is_finite()).count()
+                    })
                     .sum();
                 if bad > 0 {
                     return Err(format!("{bad} non-finite gradient values"));
@@ -1183,6 +1188,65 @@ mod tests {
         }
         // The check runs before the optimizer step, so the NaN never
         // reached a parameter.
+        assert!(net.params_mut().iter().all(|p| !p.value.has_non_finite()));
+    }
+
+    /// A [`Dense`] plus a parameter whose backward writes only elements
+    /// `3..6` of its gradient, the last of them NaN: the gradient check
+    /// scans each parameter's written range, which must reach its end.
+    struct NanAtWrittenEnd(Dense, crate::Param);
+    impl Layer for NanAtWrittenEnd {
+        fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+            self.0.forward(input, mode)
+        }
+        fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+            let dx = self.0.backward(grad_out);
+            self.1
+                .grad_mut(3..6)
+                .copy_from_slice(&[0.5, -0.5, f32::NAN]);
+            assert_eq!(self.1.written(), 3..6);
+            dx
+        }
+        fn params_mut(&mut self) -> Vec<&mut crate::Param> {
+            let mut ps = self.0.params_mut();
+            ps.push(&mut self.1);
+            ps
+        }
+        fn name(&self) -> &'static str {
+            "nan_at_written_end"
+        }
+        fn param_layer_count(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn non_finite_gradient_at_the_end_of_a_partial_write_is_rolled_back() {
+        let (x, y) = blobs(10, 36);
+        let extra = crate::Param::new(Tensor::zeros(vec![8]));
+        let mut net = NanAtWrittenEnd(Dense::new(2, 2, &mut SeededRng::new(0)), extra);
+        let err = Trainer::new(TrainerConfig {
+            epochs: 2,
+            recovery: Some(RecoveryPolicy {
+                max_retries_per_epoch: 1,
+            }),
+            ..Default::default()
+        })
+        .fit(
+            &mut net,
+            &SoftmaxCrossEntropy,
+            &mut Sgd::new(0.1),
+            &x,
+            &y,
+            None,
+        )
+        .unwrap_err();
+        match err {
+            TrainError::Unrecoverable { ref detail, .. } => {
+                assert!(detail.contains("1 non-finite gradient"), "{detail}");
+            }
+            ref other => panic!("expected Unrecoverable, got {other}"),
+        }
         assert!(net.params_mut().iter().all(|p| !p.value.has_non_finite()));
     }
 

@@ -469,12 +469,15 @@ pub fn engine_name() -> &'static str {
 /// `seg % 4` tail products are added one by one in k order, and segments
 /// accumulate ascending — [`dot_seg`]'s order throughout.
 ///
-/// `matmul_at`: a tile of 4 output rows × 32 columns in 8 accumulators
+/// `matmul_at`: a tile of 4 output rows × 96 columns in 24 accumulators
 /// walks `t` ascending with the same zero-skip as the scalar loop, one
 /// `mul` and one `add` per element per `t`. Each output element is one
 /// chain in `t` starting from its value in `out`, so the chain may pause
-/// in `out` between blocks of [`AT_TBLOCK`] rows of `t`; ragged rows and
-/// columns run the scalar loop.
+/// in `out` between blocks of [`AT_TBLOCK`] rows of `t`. A row tile whose
+/// `a` entries in a t block are all nonzero runs a loop without the
+/// zero test: the test would pass at every `t`, so the operations are
+/// the same. One narrower tile, its last register masked, takes the
+/// columns past the last 96; ragged rows run the scalar loop.
 #[cfg(target_arch = "x86_64")]
 mod wide {
     use super::{avx512, dot_seg, matmul_at_region, LANES, PANEL_F32S, WIDE_MR};
@@ -484,11 +487,12 @@ mod wide {
     const GROUP: usize = 4;
     /// Floats per panel block: one zmm load.
     const BLOCK: usize = GROUP * LANES;
-    /// Rows of `t` per `matmul_at` block: 256 × 32 columns of `b` (32 KiB)
+    /// Rows of `t` per `matmul_at` block: 128 × 96 columns of `b` (48 KiB)
     /// stay cache-resident while every row tile sweeps them.
-    const AT_TBLOCK: usize = 256;
-    /// `matmul_at` tile width in zmm registers (32 columns).
-    const AT_NV: usize = 2;
+    const AT_TBLOCK: usize = 128;
+    /// `matmul_at` tile width in zmm registers (96 columns): 4 rows × 6
+    /// registers give 24 independent add chains.
+    const AT_NV: usize = 6;
     /// Floats per zmm register.
     const ZMM: usize = 16;
 
@@ -753,40 +757,49 @@ mod wide {
     }
 
     /// One 4-row × `16·V`-column tile of `Aᵀ·B` over `t0..t1`, continuing
-    /// the running sums in `out`.
+    /// the running sums in `out`. Lanes outside `last` in the tile's last
+    /// register are neither read nor written. `DENSE` drops the zero-skip
+    /// test: the caller passes it only when every `a` entry the tile reads
+    /// is nonzero, where the test would take the add at every `t` anyway,
+    /// so both loops issue the same operations in the same order.
     ///
     /// # Safety
     ///
     /// The CPU supports AVX-512F; for every `t` in `t0..t1`, `a` is
-    /// readable at `t*m + 0..4` and `b` at `t*n + 0..16·V`; `out` points
-    /// at 4 rows of `16·V` writable floats, `n` apart.
+    /// readable at `t*m + 0..4` and `b` at `t*n + c` for every column `c`
+    /// of the tile; `out` holds those columns in 4 writable rows, `n`
+    /// apart. The tile's columns are `0..16·V` minus the lanes `last`
+    /// clears in its last register.
     #[target_feature(enable = "avx512f")]
-    unsafe fn at_tile<const V: usize>(
+    unsafe fn at_tile<const V: usize, const DENSE: bool>(
         a: *const f32,
         m: usize,
         b: *const f32,
         n: usize,
         (t0, t1): (usize, usize),
+        last: __mmask16,
         out: *mut f32,
     ) {
-        // SAFETY (whole body): offsets are those the caller guarantees.
+        let mask = |v: usize| if v + 1 == V { last } else { !0 };
+        // SAFETY (whole body): offsets are those the caller guarantees;
+        // masked-off lanes are not accessed.
         unsafe {
             let mut acc = [[_mm512_setzero_ps(); V]; WIDE_MR];
             for (r, row) in acc.iter_mut().enumerate() {
                 for (v, x) in row.iter_mut().enumerate() {
-                    *x = _mm512_loadu_ps(out.add(r * n + v * ZMM));
+                    *x = _mm512_maskz_loadu_ps(mask(v), out.add(r * n + v * ZMM));
                 }
             }
             for t in t0..t1 {
                 let br = b.add(t * n);
                 let mut y = [_mm512_setzero_ps(); V];
                 for (v, yv) in y.iter_mut().enumerate() {
-                    *yv = _mm512_loadu_ps(br.add(v * ZMM));
+                    *yv = _mm512_maskz_loadu_ps(mask(v), br.add(v * ZMM));
                 }
                 let ar = a.add(t * m);
                 for (r, row) in acc.iter_mut().enumerate() {
                     let av = *ar.add(r);
-                    if av != 0.0 {
+                    if DENSE || av != 0.0 {
                         let x = _mm512_set1_ps(av);
                         for (s, yv) in row.iter_mut().zip(&y) {
                             *s = _mm512_add_ps(*s, _mm512_mul_ps(x, *yv));
@@ -796,17 +809,53 @@ mod wide {
             }
             for (r, row) in acc.iter().enumerate() {
                 for (v, x) in row.iter().enumerate() {
-                    _mm512_storeu_ps(out.add(r * n + v * ZMM), *x);
+                    _mm512_mask_storeu_ps(out.add(r * n + v * ZMM), mask(v), *x);
                 }
             }
         }
     }
 
+    /// [`at_tile`] for `vecs` registers (`1..=AT_NV`), dense or
+    /// zero-skipping.
+    ///
+    /// # Safety
+    ///
+    /// As for [`at_tile`] with `V = vecs`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn at_tile_dyn(
+        vecs: usize,
+        dense: bool,
+        a: *const f32,
+        m: usize,
+        b: *const f32,
+        n: usize,
+        ts: (usize, usize),
+        last: __mmask16,
+        out: *mut f32,
+    ) {
+        macro_rules! tile {
+            ($($v:literal)*) => {
+                match (vecs, dense) {
+                    $(
+                        ($v, true) => at_tile::<$v, true>(a, m, b, n, ts, last, out),
+                        ($v, false) => at_tile::<$v, false>(a, m, b, n, ts, last, out),
+                    )*
+                    _ => unreachable!("matmul_at tile of {vecs} registers"),
+                }
+            };
+        }
+        // SAFETY: the caller's guarantee is `at_tile`'s.
+        unsafe { tile!(1 2 3 4 5 6) }
+    }
+
     /// The 512-bit row driver of `matmul_at`: same contract as
     /// [`super::matmul_at_rows`] (`out` accumulates, so it must arrive
     /// zeroed). Blocks of [`AT_TBLOCK`] rows of `t` outermost, then
-    /// 32-column tiles (one 16-column tile at the edge), then 4-row tiles;
-    /// ragged rows and the last `n % 16` columns run the scalar loop.
+    /// `16·AT_NV`-column tiles and one narrower tile whose last register
+    /// is masked to the `n % 16` ragged columns, then 4-row tiles; ragged
+    /// rows run the scalar loop. A row tile whose `a` entries in the t
+    /// block are all nonzero runs the dense loop.
     ///
     /// # Panics
     ///
@@ -832,33 +881,45 @@ mod wide {
         assert!(row0 + rows <= m, "wide matmul_at rows");
         let full_rows = rows - rows % WIDE_MR;
         let tile_cols = AT_NV * ZMM;
-        let wide_cols = n - n % tile_cols;
-        let vec_cols = n - n % ZMM;
+        let mut dense = vec![false; full_rows / WIDE_MR];
         let mut t0 = 0;
         while t0 < k {
             let t1 = (t0 + AT_TBLOCK).min(k);
-            // SAFETY: AVX-512F is present (asserted above); every tile's
-            // rows row0+i..row0+i+4 <= m, columns j..j+16·V <= n and
-            // t < k are within the checked slice lengths.
-            unsafe {
-                let mut j = 0;
-                while j < vec_cols {
-                    for i in (0..full_rows).step_by(WIDE_MR) {
-                        let pa = a.as_ptr().add(row0 + i);
-                        let pb = b.as_ptr().add(j);
-                        let po = out.as_mut_ptr().add(i * n + j);
-                        if j < wide_cols {
-                            at_tile::<AT_NV>(pa, m, pb, n, (t0, t1), po);
-                        } else {
-                            at_tile::<1>(pa, m, pb, n, (t0, t1), po);
-                        }
+            for (tile, d) in dense.iter_mut().enumerate() {
+                let rows = row0 + tile * WIDE_MR..row0 + (tile + 1) * WIDE_MR;
+                *d = (t0..t1).all(|t| a[t * m..][rows.clone()].iter().all(|&v| v != 0.0));
+            }
+            let mut j = 0;
+            while j < n {
+                let width = tile_cols.min(n - j);
+                let last = match width % ZMM {
+                    0 => !0,
+                    r => (1 << r) - 1,
+                };
+                for (tile, &d) in dense.iter().enumerate() {
+                    let i = tile * WIDE_MR;
+                    // SAFETY: AVX-512F is present (asserted above); the
+                    // tile's rows row0+i..row0+i+4 <= m, its columns
+                    // j..j+width <= n (lanes past `width` are masked off)
+                    // and t < k are within the checked slice lengths.
+                    unsafe {
+                        at_tile_dyn(
+                            width.div_ceil(ZMM),
+                            d,
+                            a.as_ptr().add(row0 + i),
+                            m,
+                            b.as_ptr().add(j),
+                            n,
+                            (t0, t1),
+                            last,
+                            out.as_mut_ptr().add(i * n + j),
+                        );
                     }
-                    j += if j < wide_cols { tile_cols } else { ZMM };
                 }
+                j += width;
             }
             t0 = t1;
         }
-        matmul_at_region(a, b, out, k, m, n, row0, 0..full_rows, vec_cols..n);
         matmul_at_region(a, b, out, k, m, n, row0, full_rows..rows, 0..n);
     }
 }
@@ -933,8 +994,9 @@ pub(crate) fn plan(flops: usize, rows: usize) -> Option<(Pool, usize)> {
     Some((Pool::cached(workers), rows.div_ceil(workers)))
 }
 
-/// Runs `rows(chunk, row0)` over the `m` output rows of `out` (`n` columns
-/// each): serially, or across the pool in chunks of a multiple of
+/// Runs `rows(chunk, side_chunk, row0)` over the `m` output rows of `out`
+/// (`n` columns each) and the same rows of `side` (`side.len() / m`
+/// columns each): serially, or across the pool in chunks of a multiple of
 /// [`WIDE_MR`] rows, so every chunk but the last fills whole 4-row tiles.
 /// Each output row is written by exactly one call, so the result never
 /// depends on the partition.
@@ -942,15 +1004,25 @@ fn partition(
     flops: usize,
     m: usize,
     n: usize,
-    out: &mut [f32],
-    rows: impl Fn(&mut [f32], usize) + Sync,
+    (out, side): (&mut [f32], &mut [f32]),
+    rows: impl Fn(&mut [f32], &mut [f32], usize) + Sync,
 ) {
     match plan(flops, m) {
-        None => rows(out, 0),
+        None => rows(out, side, 0),
         Some((pool, chunk_rows)) => {
             let chunk_rows = chunk_rows.next_multiple_of(WIDE_MR);
-            pool.scope_chunks(out, chunk_rows * n, |idx, chunk| {
-                rows(chunk, idx * chunk_rows);
+            let side_n = side.len() / m;
+            let (mut out, mut side) = (out, side);
+            let mut chunks = Vec::with_capacity(m.div_ceil(chunk_rows));
+            while !out.is_empty() {
+                let (o, out_rest) = out.split_at_mut((chunk_rows * n).min(out.len()));
+                let (s, side_rest) = side.split_at_mut((chunk_rows * side_n).min(side.len()));
+                chunks.push((o, s));
+                (out, side) = (out_rest, side_rest);
+            }
+            pool.scope_chunks(&mut chunks, 1, |idx, chunk| {
+                let (o, s) = &mut chunk[0];
+                rows(o, s, idx * chunk_rows);
             });
         }
     }
@@ -960,7 +1032,7 @@ fn partition(
 /// layout and segmented accumulation. Partitions output rows across the
 /// cached pool above [`PARALLEL_FLOP_THRESHOLD`]; each row chunk runs the
 /// same blocked serial driver, so the result is bit-identical at every
-/// worker count.
+/// worker count. [`gemm_bt_then`] with a no-op epilogue.
 ///
 /// This is the single funnel for dense products — `matmul`, `matmul_bt`,
 /// the im2col Conv1d and the fused GRU step all land here, which is also
@@ -972,9 +1044,33 @@ fn partition(
 ///
 /// Panics if slice lengths don't match `m×k` / `n×k` / `m×n`.
 pub fn gemm_bt(a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, seg: usize, out: &mut [f32]) {
+    gemm_bt_then(a, bt, (m, k, n, seg), out, &mut [], |_, _| {});
+}
+
+/// [`gemm_bt`] at `(m, k, n, seg)`, then `epilogue(out_rows, side_rows)`
+/// on each finished row chunk, on the worker that computed it while the
+/// rows are still in its cache. `side` holds `side.len() / m` columns per
+/// row of `out`, and each call gets the same rows of both. A serial
+/// product runs the epilogue once, over every row. The epilogue must
+/// treat each row on its own, so its result is independent of the
+/// partition, like the product's.
+///
+/// # Panics
+///
+/// Panics if slice lengths don't match `m×k` / `n×k` / `m×n`, or if
+/// `side.len()` is not a multiple of `m`.
+pub fn gemm_bt_then(
+    a: &[f32],
+    bt: &[f32],
+    (m, k, n, seg): (usize, usize, usize, usize),
+    out: &mut [f32],
+    side: &mut [f32],
+    epilogue: impl Fn(&mut [f32], &mut [f32]) + Sync,
+) {
     assert_eq!(a.len(), m * k, "gemm_bt lhs len");
     assert_eq!(bt.len(), n * k, "gemm_bt rhs len");
     assert_eq!(out.len(), m * n, "gemm_bt out len");
+    assert_eq!(side.len() % m.max(1), 0, "gemm_bt side len");
     pelican_observe::counter_add("tensor.matmul_calls", 1);
     pelican_observe::counter_add("tensor.matmul_flops", 2 * (m * k * n) as u64);
     if m * n == 0 {
@@ -988,13 +1084,15 @@ pub fn gemm_bt(a: &[f32], bt: &[f32], m: usize, k: usize, n: usize, seg: usize, 
         let mut panel = crate::workspace::take(wide::panel_len(k, n, seg));
         wide::pack_panel(bt, k, n, seg, &mut panel);
         let panel = &*panel;
-        partition(m * k * n, m, n, out, |chunk, row0| {
+        partition(m * k * n, m, n, (out, side), |chunk, side, row0| {
             wide::gemm_bt_rows(a, panel, bt, chunk, k, n, seg, row0);
+            epilogue(chunk, side);
         });
         return;
     }
-    partition(m * k * n, m, n, out, |chunk, row0| {
+    partition(m * k * n, m, n, (out, side), |chunk, side, row0| {
         gemm_bt_rows(a, bt, chunk, k, n, seg, row0);
+        epilogue(chunk, side);
     });
 }
 
@@ -1016,12 +1114,12 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
     }
     #[cfg(target_arch = "x86_64")]
     if avx512() {
-        partition(m * k * n, m, n, out, |chunk, row0| {
+        partition(m * k * n, m, n, (out, &mut []), |chunk, _, row0| {
             wide::matmul_at_rows(a, b, chunk, k, m, n, row0);
         });
         return;
     }
-    partition(m * k * n, m, n, out, |chunk, row0| {
+    partition(m * k * n, m, n, (out, &mut []), |chunk, _, row0| {
         matmul_at_rows(a, b, chunk, k, m, n, row0);
     });
 }
@@ -1234,53 +1332,92 @@ mod tests {
         out
     }
 
+    /// Both `matmul_at` row drivers this host can run against
+    /// [`matmul_at_naive`], from output row 0 and from row 1.
+    fn check_matmul_at_engines(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, case: &str) {
+        let want = matmul_at_naive(a, b, k, m, n);
+        for row0 in [0usize, 1] {
+            let rows = m - row0.min(m);
+            let mut got = vec![0.0f32; rows * n];
+            matmul_at_rows(a, b, &mut got, k, m, n, row0);
+            assert!(
+                same_nan_or_bits(&got, &want[row0 * n..]),
+                "scalar {case} k={k} m={m} n={n} row0={row0}"
+            );
+            #[cfg(target_arch = "x86_64")]
+            if avx512() {
+                let mut got = vec![0.0f32; rows * n];
+                wide::matmul_at_rows(a, b, &mut got, k, m, n, row0);
+                assert!(
+                    same_nan_or_bits(&got, &want[row0 * n..]),
+                    "avx512 {case} k={k} m={m} n={n} row0={row0}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn every_matmul_at_engine_matches_the_naive_sum() {
-        // n = 53 and 16 reach the 32- and 16-column tiles and the scalar
-        // column edge; m = 7 leaves ragged rows; k = 300 crosses a t block.
+        // n = 96, 112, 196 and 392 reach the 96-column tile, the narrower
+        // tiles after it and the masked ragged columns; m = 7 and 9 leave
+        // ragged rows; k = 129 and 300 cross t blocks. Each shape runs
+        // with zeros in `a` (the zero-skipping loop) and without (the
+        // dense loop).
         for &(k, m, n) in &[
             (0usize, 3usize, 5usize),
             (1, 1, 1),
             (5, 4, 16),
             (300, 7, 53),
             (33, 9, 40),
+            (129, 9, 96),
+            (300, 8, 112),
+            (129, 5, 196),
+            (200, 4, 392),
         ] {
-            let mut a = fill(k * m, |i| ((i * 31 % 29) as f32 - 14.0) * 0.13);
-            let mut b = fill(k * n, |i| ((i * 11 % 23) as f32 - 11.0) * 0.21);
-            for i in (0..a.len()).step_by(5) {
-                a[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
-            }
-            if k * m > 20 {
-                a[17] = f32::NAN;
-                a[19] = f32::INFINITY;
-                // Non-finite b inside the column tiles: the rows whose `a`
-                // is ±0 there must skip them.
-                let mid = (k / 2) * n;
-                b[mid] = f32::NAN;
-                b[mid + n - 1] = f32::NEG_INFINITY;
-                if n > 20 {
-                    b[mid + 20] = f32::INFINITY;
+            for zeros in [true, false] {
+                let mut a = fill(k * m, |i| ((i * 31 % 29) as f32 - 14.5) * 0.13);
+                let mut b = fill(k * n, |i| ((i * 11 % 23) as f32 - 11.0) * 0.21);
+                if zeros {
+                    for i in (0..a.len()).step_by(5) {
+                        a[i] = if i % 2 == 0 { 0.0 } else { -0.0 };
+                    }
                 }
+                if k * m > 20 {
+                    a[17] = f32::NAN;
+                    a[19] = f32::INFINITY;
+                    // Non-finite b inside the column tiles: the rows whose
+                    // `a` is ±0 there must skip them.
+                    let mid = (k / 2) * n;
+                    b[mid] = f32::NAN;
+                    b[mid + n - 1] = f32::NEG_INFINITY;
+                    if n > 20 {
+                        b[mid + 20] = f32::INFINITY;
+                    }
+                }
+                check_matmul_at_engines(&a, &b, k, m, n, if zeros { "zeros" } else { "dense" });
             }
+        }
+    }
+
+    /// One zero in `a` among nonzero entries of the same 4-row tile and t
+    /// block, over NaN and ±Inf in `b` in that `t`'s row: the zero-skip
+    /// keeps the tile's row finite there, which the dense loop (a zero
+    /// times NaN or Inf is NaN) would not. n = 100 puts one column in the
+    /// masked edge tile.
+    #[test]
+    fn a_zero_in_a_dense_tile_still_skips_non_finite_b() {
+        let (k, m, n) = (100usize, 4usize, 100usize);
+        let mut a = fill(k * m, |i| 0.25 + (i % 7) as f32 * 0.5);
+        let mut b = fill(k * n, |i| ((i * 13 % 17) as f32 - 8.0) * 0.3);
+        let t = 37;
+        for zero in [0.0f32, -0.0] {
+            a[t * m + 2] = zero;
+            b[t * n + 5] = f32::NAN;
+            b[t * n + 50] = f32::INFINITY;
+            b[t * n + 98] = f32::NEG_INFINITY;
             let want = matmul_at_naive(&a, &b, k, m, n);
-            for row0 in [0usize, 1] {
-                let rows = m - row0.min(m);
-                let mut got = vec![0.0f32; rows * n];
-                matmul_at_rows(&a, &b, &mut got, k, m, n, row0);
-                assert!(
-                    same_nan_or_bits(&got, &want[row0 * n..]),
-                    "scalar k={k} m={m} n={n} row0={row0}"
-                );
-                #[cfg(target_arch = "x86_64")]
-                if avx512() {
-                    let mut got = vec![0.0f32; rows * n];
-                    wide::matmul_at_rows(&a, &b, &mut got, k, m, n, row0);
-                    assert!(
-                        same_nan_or_bits(&got, &want[row0 * n..]),
-                        "avx512 k={k} m={m} n={n} row0={row0}"
-                    );
-                }
-            }
+            assert!(want[2 * n..3 * n].iter().all(|v| v.is_finite()));
+            check_matmul_at_engines(&a, &b, k, m, n, "one zero");
         }
     }
 

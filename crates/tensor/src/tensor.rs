@@ -257,21 +257,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// `self += alpha * other` elementwise (the BLAS `axpy` kernel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShapeError`] if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Self) -> Result<(), ShapeError> {
-        if self.shape != other.shape {
-            return Err(ShapeError::new("axpy", &self.shape, &other.shape));
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every element by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
         for v in &mut self.data {
@@ -471,15 +456,6 @@ mod tests {
         assert_eq!(b.as_slice(), &[2.0, 4.0, 6.0]);
         let c = a.zip_map(&b, |x, y| y - x).unwrap();
         assert_eq!(c.as_slice(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Tensor::ones(vec![3]);
-        let b = Tensor::from_vec(vec![3], vec![1.0, 2.0, 3.0]).unwrap();
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[1.5, 2.0, 2.5]);
-        assert!(a.axpy(1.0, &Tensor::ones(vec![4])).is_err());
     }
 
     #[test]

@@ -91,20 +91,6 @@ proptest! {
         }
     }
 
-    /// axpy is linear: axpy(α, x) then axpy(β, x) == axpy(α+β, x).
-    #[test]
-    fn axpy_is_additive(a in matrix(6), alpha in -2.0f32..2.0, beta in -2.0f32..2.0) {
-        let x = a.map(|v| v * 0.5 + 1.0);
-        let mut one = a.clone();
-        one.axpy(alpha, &x).unwrap();
-        one.axpy(beta, &x).unwrap();
-        let mut two = a.clone();
-        two.axpy(alpha + beta, &x).unwrap();
-        for (p, q) in one.as_slice().iter().zip(two.as_slice()) {
-            prop_assert!((p - q).abs() < 1e-2, "{p} vs {q}");
-        }
-    }
-
     /// Column sums computed by sum_axis0 match a manual reduction.
     #[test]
     fn sum_axis0_matches_manual(a in matrix(8)) {

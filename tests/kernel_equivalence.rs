@@ -243,6 +243,34 @@ fn gru_candidate_covers_every_tanh_branch() {
     }
 }
 
+/// The sequence-length-1 forward runs its element passes in the GEMM's
+/// epilogue, once per pool row chunk. Batches of 1, 3, 5 and 257 rows give
+/// a serial product, a single short chunk, and chunks that end off a
+/// 4-row tile at 2, 3 and 7 workers; Eval, Train and backward must each
+/// match the reference.
+#[test]
+fn gru_seq1_epilogue_row_chunks_match_reference() {
+    for batch in [1, 3, 5, 257] {
+        check_poisoned_gru((batch, 1, 5, 7), &[], 3).unwrap();
+    }
+}
+
+/// A seq-1 backward whose guard fails (a huge `Uh` against a huge output
+/// gradient) reruns the step on the general path from the cached input
+/// alone, since the seq-1 cache keeps no `z`: it writes the reset gate's
+/// gradients and still matches the reference at every worker count.
+#[test]
+fn gru_seq1_backward_fallback_recomputes_from_the_input() {
+    let dims = (257, 1, 3, 5);
+    let poison = [(6, 1e30, 0), (6, -1e30, 1), (10, 1e30, 0), (10, 1e30, 1)];
+    check_poisoned_gru(dims, &poison, 0).unwrap();
+    let (mut gru, x, g) = poisoned_gru_case(dims, &poison, 0);
+    gru.forward(&x, Mode::Train);
+    gru.backward(&g);
+    let wr = &gru.params_mut()[1];
+    assert_eq!(wr.written(), 0..wr.len(), "the backward guard held");
+}
+
 /// Tensor lengths in every optimizer parameter list: empty, one element,
 /// one short of, exactly and one past 16 lanes, and a long run.
 const OPTIM_LENS: [usize; 6] = [0, 1, 15, 16, 17, 1000];
@@ -923,14 +951,21 @@ proptest! {
     }
 
     /// `matmul_at_into` vs the serial scalar loop: ragged row tiles
-    /// (m % 4 ≠ 0), ragged column tiles (n % 32 ≠ 0), reductions that cross
-    /// the 256-row t block, and zeros, −0.0, NaN and ±Inf in both operands.
+    /// (m % 4 ≠ 0); the 96-column tile, the narrower tiles after it and
+    /// the masked ragged columns (n % 16 ≠ 0, and n = 96, 112, 196, 392);
+    /// reductions that cross the 128-row t block; and zeros, −0.0, NaN and
+    /// ±Inf in both operands, which send their row tile down the
+    /// zero-skipping loop while the others run the dense one.
     #[test]
     fn prop_matmul_at_matches_scalar(
-        (k, m, n) in (0usize..300, 1usize..14, 1usize..70),
-        poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..4096), 0..6),
+        (k, m, n_pick) in (0usize..300, 1usize..14, 0usize..80),
+        poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..1 << 17), 0..6),
         seed in 0u64..300,
     ) {
+        let n = match n_pick {
+            69.. => [96, 112, 196, 392][(n_pick - 69) % 4],
+            p => p + 1,
+        };
         let poison: Vec<OperandPoison> =
             poison.into_iter().map(|(op, v, pos)| (op, OPERAND_POISON[v], pos)).collect();
         check_matmul_at_poisoned(k, m, n, seed.wrapping_add(2718), &poison);

@@ -17,7 +17,11 @@ pub fn sgd(params: &mut [&mut Param], lr: f32, momentum: f32) {
     for p in params {
         if momentum == 0.0 {
             let grad = p.grad().clone();
-            p.value.axpy(-lr, &grad).expect("sgd shapes");
+            assert_eq!(grad.shape(), p.value.shape(), "sgd shapes");
+            let alpha = -lr;
+            for (v, &g) in p.value.as_mut_slice().iter_mut().zip(grad.as_slice()) {
+                *v += alpha * g;
+            }
         } else {
             let (value, g, [v]) = p.sweep::<1>("reference", false);
             for (vi, &gi) in v.iter_mut().zip(g) {
