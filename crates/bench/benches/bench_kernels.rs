@@ -1,6 +1,6 @@
 //! Compute-core kernel benchmark: packed/blocked GEMM, `matmul_at`, im2col
-//! Conv1d and the fused GRU step (at sequence lengths 4 and 1) against the
-//! retained seed kernels they replaced.
+//! Conv1d and the sequence-length-1 GRU step against the retained seed
+//! kernels they replaced.
 //!
 //! The seed GEMM walks one `dot` per output element: on an out-of-order
 //! core that is a single 4-lane accumulation chain, latency-bound on the
@@ -14,24 +14,14 @@
 //! `matmul_at_train` entry times it at the GRU's Table-I weight-gradient
 //! shape (4000 × 196 × 392) against `gemm_bt` at equal FLOPs, and the
 //! `tanh` entry `math::tanh_in_place` against an `f32::tanh` loop over the
-//! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal. The
-//! `rmsprop` entry times `RmsProp::step`'s zipped sweep against the indexed
-//! per-element loop it replaced (`tests/support/optim_reference.rs`) over
-//! the 77 parameter tensors of the k-fold model (Residual-21, 121
-//! features), one thread, and asserts both leave bit-equal values and
-//! caches.
+//! GRU candidate of a Table-I batch (4000 × 196), asserted bit-equal.
 //!
 //! Results go to `BENCH_kernels.json` at the workspace root, with the lane
 //! engine the host ran (`pack::engine_name`). The run fails if the
 //! L2-resident GEMM speedup drops below 2× — the floor the blocking exists
 //! to clear.
 
-#[path = "../../../tests/support/optim_reference.rs"]
-mod optim_reference;
-
-use pelican_core::models::{build_network, NetConfig};
-use pelican_nn::optim::{Optimizer, RmsProp};
-use pelican_nn::{Conv1d, Gru, Layer, Mode, Param};
+use pelican_nn::{Conv1d, Gru, Layer, Mode};
 use pelican_runtime::with_workers;
 use pelican_tensor::{math, pack, SeededRng, Tensor};
 use std::time::Instant;
@@ -179,51 +169,6 @@ fn tanh_case(n: usize, iters: usize) -> (f64, f64) {
     (libm_s * 1e9, engine_s * 1e9)
 }
 
-/// `RmsProp::step` vs the indexed reference loop over the parameters of
-/// the k-fold model (Residual-21 at 121 features), one thread, at the
-/// Table-I learning rate; returns `(tensors, params, reference_ns,
-/// sweep_ns)`. Both sides run the same number of steps on copies of the
-/// same parameters and gradients, and must end bit-equal.
-fn rmsprop_case(iters: usize) -> (usize, usize, f64, f64) {
-    let cfg = NetConfig {
-        in_features: 121,
-        classes: 5,
-        blocks: 5,
-        residual: true,
-        kernel: 10,
-        dropout: 0.6,
-        seed: 32,
-    };
-    let mut net = build_network(&cfg);
-    let mut sweep: Vec<Param> = net.params_mut().into_iter().map(|p| p.clone()).collect();
-    for (i, p) in sweep.iter_mut().enumerate() {
-        let g = random_tensor(p.value.shape().to_vec(), 33 + i as u64);
-        p.grad_mut(..).copy_from_slice(g.as_slice());
-    }
-    let mut reference = sweep.clone();
-    let (lr, rho, eps) = (0.01, 0.9, 1e-7);
-    let mut opt = RmsProp::with_options(lr, rho, eps);
-    let reference_s = time_it(5, iters, || {
-        optim_reference::rmsprop(&mut reference.iter_mut().collect::<Vec<_>>(), lr, rho, eps);
-    });
-    let sweep_s = time_it(5, iters, || {
-        opt.step(&mut sweep.iter_mut().collect::<Vec<_>>());
-    });
-    let bits = |ps: &[Param]| -> Vec<u32> {
-        ps.iter()
-            .flat_map(|p| p.value.as_slice().iter().chain(p.state()[0].as_slice()))
-            .map(|v| v.to_bits())
-            .collect()
-    };
-    assert!(
-        bits(&sweep) == bits(&reference),
-        "RmsProp sweep drifted from the indexed loop after {} steps",
-        5 * iters + 1
-    );
-    let params = sweep.iter().map(Param::len).sum();
-    (sweep.len(), params, reference_s * 1e9, sweep_s * 1e9)
-}
-
 fn main() {
     let engine = pack::engine_name();
     eprintln!("[kernels] lane engine: {engine}");
@@ -279,13 +224,6 @@ fn main() {
         "[kernels] tanh n={tanh_n}: f32::tanh {tanh_libm_ns:.0} ns, {engine} {tanh_engine_ns:.0} ns → {tanh_speedup:.2}×"
     );
 
-    // RMSprop: the optimizer update of one k-fold training step.
-    let (rms_tensors, rms_params, rms_reference_ns, rms_sweep_ns) = rmsprop_case(20);
-    let rms_speedup = rms_reference_ns / rms_sweep_ns;
-    eprintln!(
-        "[kernels] rmsprop {rms_tensors} tensors / {rms_params} params: indexed {rms_reference_ns:.0} ns, sweep {rms_sweep_ns:.0} ns → {rms_speedup:.2}×"
-    );
-
     // Conv1d: im2col (one packed GEMM over the live-tap patch matrix) vs
     // the per-tap path, forward and backward. Both ride the packed GEMM,
     // so this isolates the im2col restructuring: at the paper's seq-1
@@ -321,27 +259,24 @@ fn main() {
         conv_deltas.push((t, fwd_ref / fwd_new, bwd_ref / bwd_new));
     }
 
-    // GRU: fused step vs the per-gate seed path, full forward+backward
-    // step. Sequence length 4 makes the recurrence iterate; sequence
-    // length 1 (the paper's shape) times the h₀ = 0 step, which skips the
-    // recurrent products and the dead reset gate.
+    // GRU: the h₀ = 0 step at sequence length 1 (the paper's shape), which
+    // skips the recurrent products and the dead reset gate, vs the
+    // per-gate seed path, full forward+backward step. Longer sequences
+    // run the per-gate path itself.
     let (gb, gc, gu) = (64usize, 121usize, 121usize);
-    let mut gru_speedups = Vec::new();
-    for (gt, iters) in [(4usize, 20usize), (1, 60)] {
-        let gx = random_tensor(vec![gb, gt, gc], 26);
-        let gg = random_tensor(vec![gb, gt, gu], 27);
-        let mut gru = Gru::new(gc, gu, &mut SeededRng::new(28));
-        let gru_ref = time_it(5, iters, || {
-            std::hint::black_box(gru.reference_fwd_bwd(&gx, &gg));
-        });
-        let gru_new = time_it(5, iters, || {
-            gru.zero_grad();
-            std::hint::black_box(gru.forward(&gx, Mode::Train));
-            std::hint::black_box(gru.backward(&gg));
-        });
-        eprintln!("[kernels] gru t={gt} fwd+bwd {:.2}×", gru_ref / gru_new);
-        gru_speedups.push(gru_ref / gru_new);
-    }
+    let gx = random_tensor(vec![gb, 1, gc], 26);
+    let gg = random_tensor(vec![gb, 1, gu], 27);
+    let mut gru = Gru::new(gc, gu, &mut SeededRng::new(28));
+    let gru_ref = time_it(5, 60, || {
+        std::hint::black_box(gru.reference_fwd_bwd(&gx, &gg));
+    });
+    let gru_new = time_it(5, 60, || {
+        gru.zero_grad();
+        std::hint::black_box(gru.forward(&gx, Mode::Train));
+        std::hint::black_box(gru.backward(&gg));
+    });
+    let gru_seq1_speedup = gru_ref / gru_new;
+    eprintln!("[kernels] gru t=1 fwd+bwd {gru_seq1_speedup:.2}×");
 
     let gemm_json: Vec<String> = gemms
         .iter()
@@ -361,7 +296,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"matmul_at_train\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"engine_ns\": {:.0}, \"gemm_bt_ns\": {:.0}, \"rate_vs_gemm_bt\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"rmsprop\": {{\"tensors\": {}, \"params\": {}, \"reference_ns\": {:.0}, \"sweep_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_step_speedup\": {:.3},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; matmul_at_train times the engine at the GRU's Table-I weight-gradient shape against gemm_bt at equal FLOPs, one thread (rate_vs_gemm_bt = gemm_bt_ns / engine_ns); tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; rmsprop compares RmsProp::step's zipped sweep against the indexed per-element loop it replaced over the 77 parameter tensors of the k-fold model (Residual-21, 121 features), one thread, bit-equal; conv/gru compare the im2col/fused restructuring against the per-tap/per-gate paths, both riding the packed GEMM; gru_step_speedup is at sequence length 4, gru_seq1_step_speedup at sequence length 1, where the fused step skips the recurrent products and the dead reset gate; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
+        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"matmul_at_train\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"engine_ns\": {:.0}, \"gemm_bt_ns\": {:.0}, \"rate_vs_gemm_bt\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"conv1d_im2col_vs_per_tap\": [\n{}\n  ],\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; matmul_at_train times the engine at the GRU's Table-I weight-gradient shape against gemm_bt at equal FLOPs, one thread (rate_vs_gemm_bt = gemm_bt_ns / engine_ns); tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; conv compares the im2col restructuring against the per-tap path, both riding the packed GEMM; gru_seq1_step_speedup compares the sequence-length-1 step, which skips the recurrent products and the dead reset gate, against the per-gate path longer sequences run; equivalence guaranteed by tests/kernel_equivalence.rs\"\n}}\n",
         engine,
         gemm_json.join(",\n"),
         min_speedup,
@@ -381,14 +316,8 @@ fn main() {
         tanh_libm_ns,
         tanh_engine_ns,
         tanh_speedup,
-        rms_tensors,
-        rms_params,
-        rms_reference_ns,
-        rms_sweep_ns,
-        rms_speedup,
         conv_json.join(",\n"),
-        gru_speedups[0],
-        gru_speedups[1],
+        gru_seq1_speedup,
     );
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let path = std::path::Path::new(root).join("BENCH_kernels.json");

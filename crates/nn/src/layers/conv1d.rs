@@ -96,11 +96,6 @@ impl Conv1d {
         }
     }
 
-    /// Kernel width.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
     /// Left padding for "same" output length (Keras convention: total
     /// padding `k-1`, split `(k-1)/2` left, the remainder right).
     fn pad_left(&self) -> isize {

@@ -2,7 +2,7 @@
 
 use super::{add_col_sums, btc};
 use crate::{ActivationKind, Layer, Mode, Param};
-use pelican_tensor::workspace::{self, WsBuf};
+use pelican_tensor::workspace;
 use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 
 /// Gated recurrent unit over `[batch, time, channels]`, returning the full
@@ -22,23 +22,15 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 /// h_t = z_t ⊙ h_{t-1} + (1 − z_t) ⊙ h̃_t
 /// ```
 ///
-/// # Fused step
+/// # Any sequence length
 ///
-/// The forward batches all three input products into one
-/// `[b·t, 3·units]` GEMM over the whole sequence, the z/r recurrent
-/// products into one `[b, 2·units]` GEMM per step, and evaluates the gate
-/// nonlinearities in element passes over the step: the gates, then the
-/// candidate pre-activation into one buffer that a single
-/// [`math::tanh_in_place`] pass maps (16 lanes per instruction on
-/// AVX-512), then the hidden-state update. The
-/// backward batches the per-gate `matmul_at` parameter-gradient products
-/// the same way and produces `dx` with one segmented GEMM per step.
-/// Everything stays bit-identical to the retained per-gate reference
-/// ([`Gru::forward_reference`] / [`Gru::reference_fwd_bwd`]): batched
-/// *columns* don't change any element's dot product, and the one place
-/// operands concatenate along the reduction (`dx`) uses the segmented
-/// kernel (`seg = units`), which reproduces the old
-/// product-assign-then-add chain exactly (see [`pelican_tensor::pack`]).
+/// Every sequence runs the per-gate step ([`Gru::forward_reference`] /
+/// [`Gru::reference_fwd_bwd`]) unless the sequence-length-1 step below
+/// applies: three gate products per time step with tensor-op element
+/// math, then backpropagation through time from the last step to the
+/// first, each step's nine parameter-gradient products adding into the
+/// gradients as it finishes. The same code is the oracle the
+/// sequence-length-1 step is checked against bit for bit.
 ///
 /// # Sequence length 1
 ///
@@ -51,7 +43,7 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 /// `[dz | dh̃]·[Wz | Wh]ᵀ` product and `dW` as `xᵀ·[dz | dh̃]`.
 /// Each skip is taken only when it is provably exact — all operands it
 /// drops are finite and bounded so that `r` and `da = dh̃·Uhᵀ` stay finite
-/// — and the products are computed otherwise, so NaN and ±Inf propagate
+/// — and the per-gate step runs otherwise, so NaN and ±Inf propagate
 /// exactly as in the reference. The forward's packed `[Wz | Wh]` panel
 /// and the weight half of its guard are rebuilt only after
 /// [`Layer::params_mut`] (the one way to reach a `&mut Param`), and a
@@ -91,7 +83,7 @@ pub struct Gru {
 /// What `backward` needs from the last [`Mode::Train`] forward.
 #[derive(Debug)]
 enum GruCache {
-    /// The general fused step, one entry per time step.
+    /// The per-gate step, one entry per time step.
     Steps(Vec<StepCache>),
     /// The sequence-length-1 step from h₀ = 0: the reset gate and the
     /// recurrent products were skipped, so only the input and
@@ -111,20 +103,13 @@ struct StepCache {
     r_pre: Tensor,
 }
 
-/// Grow-only packed-weight buffers, retained across calls. Weight *values*
-/// are refilled from the live parameters on every call (the optimizer
-/// moves them between calls) — only capacity is cached.
+/// A grow-only packed-weight buffer, retained across calls. Weight
+/// *values* are refilled from the live parameters on every call (the
+/// optimizer moves them between calls) — only capacity is cached.
 #[derive(Debug, Default)]
 struct GruScratch {
-    /// `[Wzᵀ; Wrᵀ; Whᵀ]` stacked: `[3·units, in]` panel layout.
-    w_all_t: Vec<f32>,
-    /// `[Uzᵀ; Urᵀ]` stacked: `[2·units, units]` panel layout.
-    u_zr_t: Vec<f32>,
-    /// `Uhᵀ`: `[units, units]` panel layout.
-    uh_t: Vec<f32>,
-    /// `[Wz | Wr | Wh]` column-concatenated: `[in, 3·units]` — the panel
-    /// layout of the backward `dx` product's transposed weight
-    /// (`[Wz | Wh]` in the sequence-length-1 step).
+    /// `[Wz | Wh]` column-concatenated: `[in, 2·units]` — the panel layout
+    /// of the sequence-length-1 backward `dx` product's transposed weight.
     w_cat: Vec<f32>,
 }
 
@@ -140,51 +125,6 @@ struct Seq1Panel {
     /// `max|Wr|` when `Uz`, `Ur`, `Uh`, `Wr` and `br` are all finite: the
     /// weight half of the forward guard.
     wr_max: Option<f32>,
-}
-
-/// One step's candidate h̃: a buffer the Train cache keeps, or workspace
-/// scratch in an Eval forward.
-enum Candidate {
-    Kept(Vec<f32>),
-    Scratch(WsBuf),
-}
-
-impl Candidate {
-    /// `fill` writes the pre-activation h̃_pre, then one
-    /// [`math::tanh_in_place`] pass maps it to h̃.
-    fn new(len: usize, keep: bool, fill: impl FnOnce(&mut [f32])) -> Self {
-        let mut hh = if keep {
-            Candidate::Kept(vec![0.0f32; len])
-        } else {
-            Candidate::Scratch(workspace::take(len))
-        };
-        let buf: &mut [f32] = match &mut hh {
-            Candidate::Kept(v) => v,
-            Candidate::Scratch(w) => w,
-        };
-        fill(buf);
-        math::tanh_in_place(buf);
-        hh
-    }
-
-    /// The buffer for the Train cache; empty for scratch, which no cache
-    /// holds.
-    fn into_kept(self) -> Vec<f32> {
-        match self {
-            Candidate::Kept(v) => v,
-            Candidate::Scratch(_) => Vec::new(),
-        }
-    }
-}
-
-impl std::ops::Deref for Candidate {
-    type Target = [f32];
-    fn deref(&self) -> &[f32] {
-        match self {
-            Candidate::Kept(v) => v,
-            Candidate::Scratch(w) => w,
-        }
-    }
 }
 
 fn fit(buf: &mut Vec<f32>, len: usize) {
@@ -303,10 +243,11 @@ impl Gru {
         pre
     }
 
-    /// The retained seed forward: three separate gate products per step,
-    /// tensor-op elementwise math. Kept verbatim as the reference the
-    /// fused step is proptested bit-identical against, and as the baseline
-    /// `bench_kernels` times.
+    /// The per-gate forward: three separate gate products per step,
+    /// tensor-op elementwise math. [`Layer::forward`] runs it for every
+    /// sequence the sequence-length-1 step does not take, and it is the
+    /// reference that step is proptested bit-identical against and the
+    /// baseline `bench_kernels` times.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         self.reference_forward_with_cache(input).0
     }
@@ -320,10 +261,8 @@ impl Gru {
         grad_out: &Tensor,
     ) -> (Tensor, Tensor, Vec<Tensor>) {
         let (y, cache) = self.reference_forward_with_cache(input);
-        let (b, t, c) = btc(input.shape());
+        let (b, _, c) = btc(input.shape());
         let u = self.units;
-        let dy = grad_out.reshape(vec![b * t, u]).expect("gru grad flatten");
-
         let mut grads: Vec<Tensor> = vec![
             Tensor::zeros(vec![c, u]),
             Tensor::zeros(vec![c, u]),
@@ -335,6 +274,24 @@ impl Gru {
             Tensor::zeros(vec![u]),
             Tensor::zeros(vec![u]),
         ];
+        let dx = self.backward_cached(&cache, grad_out, b, &mut grads);
+        let dx = dx.into_shape(input.shape().to_vec()).expect("gru dx shape");
+        (y, dx, grads)
+    }
+
+    /// Backpropagation through the per-gate steps of `cache`, from the
+    /// last step to the first: returns `dx` as `[b·t, in]` and adds each
+    /// step's nine parameter-gradient products into `grads`
+    /// ([`Layer::params_mut`] order) as that step finishes.
+    fn backward_cached(
+        &self,
+        cache: &[StepCache],
+        grad_out: &Tensor,
+        b: usize,
+        grads: &mut [Tensor],
+    ) -> Tensor {
+        let (t, c, u) = (cache.len(), self.in_channels, self.units);
+        let dy = grad_out.reshape(vec![b * t, u]).expect("gru grad flatten");
         let mut dx = Tensor::zeros(vec![b * t, c]);
         let mut dh_carry = Tensor::zeros(vec![b, u]);
         for ti in (0..t).rev() {
@@ -404,8 +361,7 @@ impl Gru {
 
             dh_carry = dh_prev;
         }
-        let dx = dx.reshape(input.shape().to_vec()).expect("gru dx shape");
-        (y, dx, grads)
+        dx
     }
 
     fn reference_forward_with_cache(&self, input: &Tensor) -> (Tensor, Vec<StepCache>) {
@@ -462,45 +418,6 @@ impl Gru {
         (out, cache)
     }
 
-    /// Refills the packed forward weight panels from the live parameters.
-    fn pack_forward_weights(&mut self) {
-        let (c, u) = (self.in_channels, self.units);
-        fit(&mut self.scratch.w_all_t, 3 * u * c);
-        pack::pack_transpose(
-            self.wxz.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[..u * c],
-        );
-        pack::pack_transpose(
-            self.wxr.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[u * c..2 * u * c],
-        );
-        pack::pack_transpose(
-            self.wxh.value.as_slice(),
-            c,
-            u,
-            &mut self.scratch.w_all_t[2 * u * c..],
-        );
-        fit(&mut self.scratch.u_zr_t, 2 * u * u);
-        pack::pack_transpose(
-            self.whz.value.as_slice(),
-            u,
-            u,
-            &mut self.scratch.u_zr_t[..u * u],
-        );
-        pack::pack_transpose(
-            self.whr.value.as_slice(),
-            u,
-            u,
-            &mut self.scratch.u_zr_t[u * u..],
-        );
-        fit(&mut self.scratch.uh_t, u * u);
-        pack::pack_transpose(self.whh.value.as_slice(), u, u, &mut self.scratch.uh_t);
-    }
-
     /// The forward guard of the sequence-length-1 step. With `Uz`, `Ur`,
     /// `Uh`, `Wr`, `br` and `x` finite and `x·Wr` unable to overflow,
     /// `r_pre` is never NaN, so `r` is finite: then `h₀·Uz`, `h₀·Ur` and
@@ -526,7 +443,7 @@ impl Gru {
     }
 
     /// The step from h₀ = 0, taken when [`Gru::seq1_exact`] holds: the
-    /// general step's element passes with every recurrent product
+    /// per-gate step's element math with every recurrent product
     /// replaced by the `+0.0` it returns. The literal `+ 0.0` and `z·0.0`
     /// terms stay because they fix the sign of zero and NaN as the
     /// reference does. The element passes run in the GEMM's epilogue
@@ -563,115 +480,8 @@ impl Gru {
         (out, cache)
     }
 
-    /// The general fused step: any sequence length, any values.
-    fn forward_steps(
-        &mut self,
-        input: &Tensor,
-        b: usize,
-        t: usize,
-        mode: Mode,
-    ) -> (Tensor, Option<Vec<StepCache>>) {
-        let (c, u) = (self.in_channels, self.units);
-        let flat = input.reshape(vec![b * t, c]).expect("gru flatten");
-        self.pack_forward_weights();
-        let bz = self.bz.value.as_slice();
-        let br = self.br.value.as_slice();
-        let bh = self.bh.value.as_slice();
-
-        // All three input-kernel products for the whole sequence in one
-        // GEMM: xw[(bi·t + ti)·3u ..] = [x·Wz | x·Wr | x·Wh] for that row.
-        let mut xw = workspace::take(b * t * 3 * u);
-        pack::gemm_bt(
-            flat.as_slice(),
-            &self.scratch.w_all_t,
-            b * t,
-            c,
-            3 * u,
-            c,
-            &mut xw,
-        );
-
-        let mut hu2 = workspace::take(b * 2 * u);
-        let mut ruh = workspace::take(b * u);
-        let mut rh = workspace::take(b * u);
-        let mut h = Tensor::zeros(vec![b, u]);
-        let mut cache = (mode == Mode::Train).then(|| Vec::with_capacity(t));
-        let mut out = Tensor::zeros(vec![b, t, u]);
-        for ti in 0..t {
-            // z/r recurrent products batched: hu2[bi·2u ..] = [h·Uz | h·Ur].
-            pack::gemm_bt(h.as_slice(), &self.scratch.u_zr_t, b, u, 2 * u, u, &mut hu2);
-
-            // Fused pass 1: gate pre-activations, hard sigmoids, r ⊙ h.
-            // Expressions mirror the reference exactly: (x·W + h·U) + b.
-            let hs = h.as_slice();
-            let mut z_pre = vec![0.0f32; b * u];
-            let mut r_pre = vec![0.0f32; b * u];
-            let mut z = vec![0.0f32; b * u];
-            let mut r = vec![0.0f32; b * u];
-            for bi in 0..b {
-                let xrow = (bi * t + ti) * 3 * u;
-                let hrow = bi * 2 * u;
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let zp = (xw[xrow + j] + hu2[hrow + j]) + bz[j];
-                    let rp = (xw[xrow + u + j] + hu2[hrow + u + j]) + br[j];
-                    z_pre[i] = zp;
-                    r_pre[i] = rp;
-                    let zv = ActivationKind::HardSigmoid.apply(zp);
-                    let rv = ActivationKind::HardSigmoid.apply(rp);
-                    z[i] = zv;
-                    r[i] = rv;
-                    rh[i] = rv * hs[i];
-                }
-            }
-
-            pack::gemm_bt(&rh, &self.scratch.uh_t, b, u, u, u, &mut ruh);
-
-            // Candidate h̃ = tanh((x·Wh + (r ⊙ h)·Uh) + bh) in one vector
-            // tanh pass, then the hidden-state update,
-            // h = (z ⊙ h_prev) + ((1 − z) ⊙ h̃).
-            let hh = Candidate::new(b * u, cache.is_some(), |hh| {
-                for bi in 0..b {
-                    let xrow = (bi * t + ti) * 3 * u + 2 * u;
-                    for j in 0..u {
-                        let i = bi * u + j;
-                        hh[i] = (xw[xrow + j] + ruh[i]) + bh[j];
-                    }
-                }
-            });
-            let mut h_new = vec![0.0f32; b * u];
-            let outs = out.as_mut_slice();
-            for bi in 0..b {
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let zv = z[i];
-                    let hn = (zv * hs[i]) + ((1.0 - zv) * hh[i]);
-                    h_new[i] = hn;
-                    outs[(bi * t + ti) * u + j] = hn;
-                }
-            }
-
-            let shaped = |v: Vec<f32>| Tensor::from_vec(vec![b, u], v).expect("gru step tensor");
-            let h_new = shaped(h_new);
-            if let Some(cache) = cache.as_mut() {
-                let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
-                cache.push(StepCache {
-                    x: flat.gather_rows(&rows),
-                    h_prev: h,
-                    z: shaped(z),
-                    r: shaped(r),
-                    hh: shaped(hh.into_kept()),
-                    z_pre: shaped(z_pre),
-                    r_pre: shaped(r_pre),
-                });
-            }
-            h = h_new;
-        }
-        (out, cache)
-    }
-
-    /// Backward of [`Gru::forward_seq1`]: the general step's first fused
-    /// pass with `h_prev = carry = +0.0` kept literal, then `dx` and `dW`
+    /// Backward of [`Gru::forward_seq1`]: the per-gate step's element math
+    /// with `h_prev = carry = +0.0` kept literal, then `dx` and `dW`
     /// over the live gates. The reset gate's gradient is `dr = da ⊙ h₀`
     /// with `da = dh̃_pre·Uhᵀ`. When `da` is provably finite (`dh̃_pre`,
     /// `Uh` finite and bounded, `Wr` finite) `dr` is `±0`: its `dx`
@@ -733,129 +543,33 @@ impl Gru {
         Some(dx)
     }
 
-    /// Backward of [`Gru::forward_steps`].
-    fn backward_steps(&mut self, cache: &[StepCache], dys: &[f32], b: usize, t: usize) -> Vec<f32> {
-        let (c, u) = (self.in_channels, self.units);
-        // [Wz | Wr | Wh] column-concatenated: the dx product's weight in
-        // panel layout. Refilled per call from the live weights.
-        let w = [
-            self.wxz.value.as_slice(),
-            self.wxr.value.as_slice(),
-            self.wxh.value.as_slice(),
-        ];
-        fit(&mut self.scratch.w_cat, c * 3 * u);
-        concat_cols(&w, c, u, &mut self.scratch.w_cat);
-
-        let mut dzp = workspace::take(b * u);
-        let mut drp = workspace::take(b * u);
-        let mut dhhp = workspace::take(b * u);
-        let mut dh_prev = workspace::take(b * u);
-        let mut da = workspace::take(b * u);
-        let mut tmp = workspace::take(b * u);
-        let mut rh = workspace::take(b * u);
-        let mut carry = workspace::take(b * u);
-        let mut g3 = workspace::take(b * 3 * u);
-        let mut g2 = workspace::take(b * 2 * u);
-        let mut dxt = workspace::take(b * c);
-        let mut dw_all = workspace::take(c * 3 * u);
-        let mut du2 = workspace::take(u * 2 * u);
-        let mut duh = workspace::take(u * u);
-
-        let mut dx = vec![0.0f32; b * t * c];
-        for ti in (0..t).rev() {
-            let step = &cache[ti];
-            let hp = step.h_prev.as_slice();
-            let hhs = step.hh.as_slice();
-            let zs = step.z.as_slice();
-            let rs = step.r.as_slice();
-            let zps = step.z_pre.as_slice();
-            let rps = step.r_pre.as_slice();
-
-            // Fused pass 1 — per element, mirroring the reference trees:
-            //   g       = dy + carry
-            //   dz      = (g·h_prev) − (g·h̃)
-            //   dh_prev = g·z                       (direct path)
-            //   dh̃_pre  = (g·(1−z)) · (1 − h̃²)
-            //   dz_pre  = dz · hardσ'(z_pre)
-            for bi in 0..b {
-                for j in 0..u {
-                    let i = bi * u + j;
-                    let g = dys[(bi * t + ti) * u + j] + carry[i];
-                    let dz = (g * hp[i]) - (g * hhs[i]);
-                    let dhh = g * (1.0 - zs[i]);
-                    dh_prev[i] = g * zs[i];
-                    dhhp[i] = dhh * (1.0 - hhs[i] * hhs[i]);
-                    dzp[i] = dz * ActivationKind::HardSigmoid.derivative(zps[i]);
-                }
-            }
-
-            // a = r ⊙ h_prev feeds h̃_pre through U_h.
-            pack::gemm_bt(&dhhp, self.whh.value.as_slice(), b, u, u, u, &mut da);
-
-            // Fused pass 2: dr = da·h_prev, reset-path carry, dr_pre.
-            for i in 0..b * u {
-                let dr = da[i] * hp[i];
-                dh_prev[i] += da[i] * rs[i];
-                drp[i] = dr * ActivationKind::HardSigmoid.derivative(rps[i]);
-            }
-
-            // Recurrent carries through Uz then Ur, added in reference
-            // order (full product first, then the elementwise add).
-            pack::gemm_bt(&dzp, self.whz.value.as_slice(), b, u, u, u, &mut tmp);
-            for i in 0..b * u {
-                dh_prev[i] += tmp[i];
-            }
-            pack::gemm_bt(&drp, self.whr.value.as_slice(), b, u, u, u, &mut tmp);
-            for i in 0..b * u {
-                dh_prev[i] += tmp[i];
-            }
-
-            // Gate gradients interleaved [dz_pre | dr_pre | dh̃_pre]: one
-            // segmented GEMM gives dx_t = dz·Wzᵀ + dr·Wrᵀ + dh̃·Whᵀ with the
-            // reference's assign-add-add accumulation order (seg = units).
-            concat_cols(&[&dzp, &drp, &dhhp], b, u, &mut g3);
-            pack::gemm_bt(&g3, &self.scratch.w_cat, b, 3 * u, c, u, &mut dxt);
-            for bi in 0..b {
-                let row = bi * t + ti;
-                dx[row * c..(row + 1) * c].copy_from_slice(&dxt[bi * c..(bi + 1) * c]);
-            }
-
-            // Parameter gradients, batched per operand. `matmul_at_into`
-            // accumulates, so the scratch outputs are re-zeroed per step.
-            dw_all.fill(0.0);
-            pack::matmul_at_into(step.x.as_slice(), &g3, b, c, 3 * u, &mut dw_all);
-            add_col_blocks(
-                &dw_all,
-                c,
-                u,
-                &mut [
-                    self.wxz.grad_mut(..),
-                    self.wxr.grad_mut(..),
-                    self.wxh.grad_mut(..),
-                ],
-            );
-            concat_cols(&[&dzp, &drp], b, u, &mut g2);
-            du2.fill(0.0);
-            pack::matmul_at_into(hp, &g2, b, u, 2 * u, &mut du2);
-            add_col_blocks(
-                &du2,
-                u,
-                u,
-                &mut [self.whz.grad_mut(..), self.whr.grad_mut(..)],
-            );
-            for i in 0..b * u {
-                rh[i] = rs[i] * hp[i];
-            }
-            duh.fill(0.0);
-            pack::matmul_at_into(&rh, &dhhp, b, u, u, &mut duh);
-            add_col_blocks(&duh, u, u, &mut [self.whh.grad_mut(..)]);
-            add_col_sums(&dzp, u, 0, self.bz.grad_mut(..));
-            add_col_sums(&drp, u, 0, self.br.grad_mut(..));
-            add_col_sums(&dhhp, u, 0, self.bh.grad_mut(..));
-
-            carry.copy_from_slice(&dh_prev);
+    /// [`Gru::backward_cached`] into the layer's gradients. The steps'
+    /// products add into copies of the gradients, so the sums round as a
+    /// `+=` per step would also for a caller that skips `zero_grad`; they
+    /// go back through [`Param::grad_mut`], which widens every hull to the
+    /// whole tensor.
+    fn backward_steps(&mut self, steps: &[StepCache], grad_out: &Tensor, b: usize) -> Vec<f32> {
+        let mut grads: Vec<Tensor> = self.params().iter().map(|p| p.grad().clone()).collect();
+        let dx = self.backward_cached(steps, grad_out, b, &mut grads);
+        for (p, g) in self.params().into_iter().zip(&grads) {
+            p.grad_mut(..).copy_from_slice(g.as_slice());
         }
-        dx
+        dx.into_vec()
+    }
+
+    /// The nine parameters in [`Layer::params_mut`] order.
+    fn params(&mut self) -> [&mut Param; 9] {
+        [
+            &mut self.wxz,
+            &mut self.wxr,
+            &mut self.wxh,
+            &mut self.whz,
+            &mut self.whr,
+            &mut self.whh,
+            &mut self.bz,
+            &mut self.br,
+            &mut self.bh,
+        ]
     }
 }
 
@@ -878,8 +592,8 @@ impl Layer for Gru {
         let (out, cache) = if t == 1 && self.seq1_exact(input.as_slice()) {
             self.forward_seq1(input, b, mode)
         } else {
-            let (out, steps) = self.forward_steps(input, b, t, mode);
-            (out, steps.map(GruCache::Steps))
+            let (out, steps) = self.reference_forward_with_cache(input);
+            (out, (mode == Mode::Train).then_some(GruCache::Steps(steps)))
         };
         self.cache = cache;
         self.input_shape = Some(input.shape().to_vec());
@@ -893,17 +607,16 @@ impl Layer for Gru {
         let dy = grad_out.as_slice();
         assert_eq!(dy.len(), b * t * self.units, "gru grad length");
         let dx = match &cache {
-            GruCache::Steps(steps) => self.backward_steps(steps, dy, b, t),
-            GruCache::Seq1 { x, zh } => {
-                self.backward_seq1(x.as_slice(), zh, dy, b)
-                    .unwrap_or_else(|| {
-                        // A skipped product may be non-finite: rerun the step
-                        // on the general path, which computes every product.
-                        let (_, steps) = self.forward_steps(x, b, 1, Mode::Train);
-                        let steps = steps.expect("gru train cache");
-                        self.backward_steps(&steps, dy, b, 1)
-                    })
-            }
+            GruCache::Steps(steps) => self.backward_steps(steps, grad_out, b),
+            GruCache::Seq1 { x, zh } => match self.backward_seq1(x.as_slice(), zh, dy, b) {
+                Some(dx) => dx,
+                // A skipped product may be non-finite: rerun the step on the
+                // per-gate path, which computes every product.
+                None => {
+                    let (_, steps) = self.reference_forward_with_cache(x);
+                    self.backward_steps(&steps, grad_out, b)
+                }
+            },
         };
         self.cache = Some(cache);
         Tensor::from_vec(shape, dx).expect("gru dx shape")
@@ -911,17 +624,7 @@ impl Layer for Gru {
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.seq1.fresh = false;
-        vec![
-            &mut self.wxz,
-            &mut self.wxr,
-            &mut self.wxh,
-            &mut self.whz,
-            &mut self.whr,
-            &mut self.whh,
-            &mut self.bz,
-            &mut self.br,
-            &mut self.bh,
-        ]
+        self.params().into()
     }
 
     fn name(&self) -> &'static str {
@@ -1021,24 +724,6 @@ mod tests {
         let mut gru = Gru::new(3, 4, &mut rng);
         assert_eq!(gru.params_mut().len(), 9);
         assert_eq!(gru.param_layer_count(), 1);
-    }
-
-    /// The fused step must agree with the retained reference to the bit,
-    /// forward and backward, including parameter gradients.
-    #[test]
-    fn fused_step_bit_matches_reference() {
-        let mut rng = SeededRng::new(6);
-        let mut gru = Gru::new(3, 5, &mut rng);
-        let x = Init::GlorotUniform.tensor(vec![2, 4, 3], (3, 5), &mut rng);
-        let g = Init::GlorotUniform.tensor(vec![2, 4, 5], (3, 5), &mut rng);
-        let (ref_y, ref_dx, ref_grads) = gru.reference_fwd_bwd(&x, &g);
-        let y = gru.forward(&x, Mode::Train);
-        let dx = gru.backward(&g);
-        assert_eq!(y.as_slice(), ref_y.as_slice(), "forward drifted");
-        assert_eq!(dx.as_slice(), ref_dx.as_slice(), "dx drifted");
-        for (p, want) in gru.params_mut().into_iter().zip(&ref_grads) {
-            assert_eq!(p.grad().as_slice(), want.as_slice(), "param grad drifted");
-        }
     }
 
     fn bits(t: &Tensor) -> Vec<u32> {

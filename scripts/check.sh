@@ -52,6 +52,5 @@ grep -q '"gemm_min_speedup"' BENCH_kernels.json
 grep -q '"gru_seq1_step_speedup"' BENCH_kernels.json
 grep -q '"matmul_at_train"' BENCH_kernels.json
 grep -q '"tanh"' BENCH_kernels.json
-grep -q '"rmsprop"' BENCH_kernels.json
 grep -q '"bit_identical_to_seed": true' BENCH_kernels.json
 echo "all checks passed"

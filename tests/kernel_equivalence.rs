@@ -1,7 +1,7 @@
 //! Equivalence suite for the packed compute core.
 //!
 //! The blocked GEMM (`pelican::tensor::pack`), the im2col `Conv1d` and the
-//! fused `Gru` step each retain their seed kernels as references
+//! sequence-length-1 `Gru` step each retain their seed kernels as references
 //! (`gemm_bt_reference`, `forward_reference`/`backward_reference`,
 //! `reference_fwd_bwd`), and `matmul_at_into` is checked against the
 //! serial scalar `matmul_at_rows`. These properties assert the optimized
@@ -207,7 +207,7 @@ fn gru_backward_guard_bounds_da() {
 /// subnormal inputs, each `expm1` case (k = 0, −1, k ≤ −2, k < 23,
 /// 23 ≤ k ≤ 56, k > 56), saturation, ±Inf and NaN; `b·u = 35` puts them
 /// in two 16-lane blocks and the scalar tail. Sequence length 3 runs the
-/// general step over the same biases.
+/// per-gate step over the same biases.
 #[test]
 fn gru_candidate_covers_every_tanh_branch() {
     let values = [
@@ -256,7 +256,7 @@ fn gru_seq1_epilogue_row_chunks_match_reference() {
 }
 
 /// A seq-1 backward whose guard fails (a huge `Uh` against a huge output
-/// gradient) reruns the step on the general path from the cached input
+/// gradient) reruns the step on the per-gate path from the cached input
 /// alone, since the seq-1 cache keeps no `z`: it writes the reset gate's
 /// gradients and still matches the reference at every worker count.
 #[test]
@@ -661,7 +661,7 @@ fn assert_same_params(a: &mut dyn Layer, b: &mut dyn Layer, case: &str) {
 /// pre-BN, Conv1d and BN come first (two tensors each), then `Wz`.
 const FIRST_GRU_WR: usize = 7;
 
-/// A step whose GRU takes the general (guard-fallback) path writes all
+/// A step whose GRU takes the per-gate (guard-fallback) path writes all
 /// nine GRU gradients and widens their hulls for good; later seq-1 steps
 /// sweep those hulls, and every step matches a model with full hulls.
 #[test]
@@ -1006,8 +1006,10 @@ proptest! {
         }
     }
 
-    /// The fused GRU step (batched gate GEMMs + fused elementwise passes)
-    /// is bit-identical to the retained per-gate seed path end to end.
+    /// `Gru` through `Layer` is bit-identical to the retained per-gate
+    /// seed path end to end: the sequence-length-1 step at t = 1, the
+    /// per-gate step itself at t > 1, whose backward must write every
+    /// gradient through `grad_mut` so the optimizers' hull sweeps see it.
     #[test]
     fn prop_gru_matches_reference(
         (batch, seq, cin, units) in (1usize..5, 1usize..6, 1usize..5, 1usize..6),
@@ -1030,6 +1032,9 @@ proptest! {
                 for (p, want) in gru.params_mut().into_iter().zip(&want_grads) {
                     prop_assert_eq!(raw_bits(p.grad().as_slice()), bits(want),
                         "gru param grad @ {}", workers);
+                    if seq > 1 {
+                        prop_assert_eq!(p.written(), 0..p.len(), "gru grad hull @ {}", workers);
+                    }
                 }
                 Ok(())
             })?;
@@ -1042,7 +1047,7 @@ proptest! {
     /// where the reference puts it and every other element, forward and
     /// backward, is bit-equal. Two poisoned operands can defeat a bound
     /// (1e30 in both `x` and `Wr`) that one alone cannot. Sequence length
-    /// 3 runs the general step over the same poison.
+    /// 3 runs the per-gate step over the same poison.
     #[test]
     fn prop_gru_non_finite_matches_reference(
         (batch, seq_pick, cin, units) in (1usize..5, 0usize..2, 1usize..5, 1usize..6),

@@ -4,11 +4,7 @@
 //! explicitly. Each sweeps the whole parameter (`Param::sweep` with
 //! `on_hull` false), so they are also the full-sweep oracle for the
 //! optimizers' hull sweeps. `tests/kernel_equivalence.rs` checks the
-//! sweeps against them bit for bit, and `bench_kernels` times RMSprop
-//! against its loop. Nothing outside tests and benches uses them.
-
-// Each including crate uses a different subset.
-#![allow(dead_code)]
+//! sweeps against them bit for bit. Nothing outside tests uses them.
 
 use pelican_nn::Param;
 
