@@ -265,6 +265,23 @@ pub fn prepare_split(cfg: &ExpConfig) -> pelican_data::EncodedSplit {
 /// This is the uncached worker; benches go through [`cached_run`].
 pub fn run_network(arch: Arch, cfg: &ExpConfig) -> RunResult {
     let split = prepare_split(cfg);
+    let verbose = std::env::var("PELICAN_VERBOSE").is_ok();
+    let seeds = (cfg.seed, cfg.seed ^ 0x5F5F);
+    train_and_score(arch, cfg, &split, seeds, verbose, &arch.paper_name())
+}
+
+/// Builds `arch` for `cfg` with weight seed `seeds.0`, trains it on
+/// `split` with shuffle seed `seeds.1` (tracking the held-out rows each
+/// epoch), and measures the paper's metrics on the held-out rows. A
+/// training failure panics naming the run by `label`.
+fn train_and_score(
+    arch: Arch,
+    cfg: &ExpConfig,
+    split: &pelican_data::EncodedSplit,
+    (seed, shuffle_seed): (u64, u64),
+    verbose: bool,
+    label: &str,
+) -> RunResult {
     let mut net = build_network(&NetConfig {
         in_features: cfg.dataset.encoded_width(),
         classes: cfg.dataset.classes(),
@@ -272,13 +289,13 @@ pub fn run_network(arch: Arch, cfg: &ExpConfig) -> RunResult {
         residual: arch.is_residual(),
         kernel: cfg.kernel,
         dropout: cfg.dropout,
-        seed: cfg.seed,
+        seed,
     });
     let trainer = Trainer::new(TrainerConfig {
         epochs: cfg.epochs,
         batch_size: cfg.batch_size,
-        shuffle_seed: cfg.seed ^ 0x5F5F,
-        verbose: std::env::var("PELICAN_VERBOSE").is_ok(),
+        shuffle_seed,
+        verbose,
         ..Default::default()
     });
     let mut opt = RmsProp::new(cfg.learning_rate);
@@ -291,7 +308,7 @@ pub fn run_network(arch: Arch, cfg: &ExpConfig) -> RunResult {
             &split.y_train,
             Some((&split.x_test, &split.y_test)),
         )
-        .unwrap_or_else(|e| panic!("training {} failed: {e}", arch.paper_name()));
+        .unwrap_or_else(|e| panic!("training {label} failed: {e}"));
     let preds = predict(&mut net, &split.x_test, cfg.batch_size);
     let normal = 0; // class 0 is Normal in both schemas
     let confusion = Confusion::from_predictions(&preds, &split.y_test, normal);
@@ -331,42 +348,12 @@ fn run_fold(
     test_idx: &[usize],
 ) -> RunResult {
     let split = train_test_split(raw, train_idx, test_idx);
-    let mut net = build_network(&NetConfig {
-        in_features: cfg.dataset.encoded_width(),
-        classes: cfg.dataset.classes(),
-        blocks: arch.blocks(),
-        residual: arch.is_residual(),
-        kernel: cfg.kernel,
-        dropout: cfg.dropout,
-        seed: stream_seed(cfg.seed, fold_id as u64),
-    });
-    let trainer = Trainer::new(TrainerConfig {
-        epochs: cfg.epochs,
-        batch_size: cfg.batch_size,
-        shuffle_seed: stream_seed(cfg.seed ^ 0x5F5F, fold_id as u64),
-        verbose: false,
-        ..Default::default()
-    });
-    let mut opt = RmsProp::new(cfg.learning_rate);
-    let history = trainer
-        .fit(
-            &mut net,
-            &SoftmaxCrossEntropy,
-            &mut opt,
-            &split.x_train,
-            &split.y_train,
-            Some((&split.x_test, &split.y_test)),
-        )
-        .unwrap_or_else(|e| panic!("training {} fold {fold_id} failed: {e}", arch.paper_name()));
-    let preds = predict(&mut net, &split.x_test, cfg.batch_size);
-    let confusion = Confusion::from_predictions(&preds, &split.y_test, 0);
-    let matrix = ConfusionMatrix::from_predictions(&preds, &split.y_test, cfg.dataset.classes());
-    RunResult {
-        arch_name: arch.paper_name(),
-        history,
-        confusion,
-        multiclass_acc: matrix.accuracy(),
-    }
+    let seeds = (
+        stream_seed(cfg.seed, fold_id as u64),
+        stream_seed(cfg.seed ^ 0x5F5F, fold_id as u64),
+    );
+    let label = format!("{} fold {fold_id}", arch.paper_name());
+    train_and_score(arch, cfg, &split, seeds, false, &label)
 }
 
 /// Runs the complete k-fold protocol: trains a fresh network per fold and

@@ -45,9 +45,10 @@ pub trait Layer: Send {
     ///
     /// Panics if called before `forward`, or if `grad_out` does not match
     /// the last output's shape. A [`Mode::Eval`] forward need not keep
-    /// what `backward` needs: [`Gru`](crate::Gru) keeps nothing and drops
-    /// any cache of an earlier [`Mode::Train`] forward, so its `backward`
-    /// after an Eval forward panics with "backward before forward".
+    /// what `backward` needs: [`Conv1d`](crate::Conv1d) and
+    /// [`Gru`](crate::Gru) keep nothing and drop what an earlier
+    /// [`Mode::Train`] forward kept, so their `backward` after an Eval
+    /// forward panics with "backward before forward".
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Mutable access to the trainable parameters, outermost first.

@@ -3,6 +3,7 @@
 use super::{add_col_sums, btc};
 use crate::{Layer, Mode, Param};
 use pelican_tensor::{pack, workspace, Init, SeededRng, Tensor};
+use std::ops::Range;
 
 /// 1-D convolution over `[batch, time, channels]`, stride 1, zero-padded so
 /// the output length equals the input length (Keras' `padding="same"`).
@@ -31,38 +32,62 @@ pub struct Conv1d {
     kernel: usize,
     in_channels: usize,
     out_channels: usize,
-    /// Shape of the last forward's input; `cache.col` holds its data.
+    /// Shape of the last [`Mode::Train`] forward's input; `None` after an
+    /// Eval forward, which keeps nothing for a backward.
     input_shape: Option<Vec<usize>>,
-    cache: ConvCache,
+    /// That input's data, in a buffer retained across calls so
+    /// steady-state training does not allocate it.
+    input: Vec<f32>,
 }
 
-/// Per-layer kernel scratch, retained across calls so steady-state
-/// training does no im2col-related allocation. Everything here is either
-/// shape-derived (`spans`, rebuilt only when the sequence length changes)
-/// or refilled from scratch each call (`wt`) or each forward (`col`, which
-/// the backward pass then consumes as the saved im2col activation matrix).
-/// Weight *values* are never cached across calls — the optimizer mutates
-/// them every step — only buffer capacity is.
-#[derive(Debug, Default)]
-struct ConvCache {
-    /// Valid kernel-tap range `[k_lo, k_hi)` per output position.
-    spans: Vec<(usize, usize)>,
-    /// Sequence length `spans` was built for (0 = never built).
-    spans_t: usize,
-    /// Union of the per-position spans: taps outside `tap_lo..tap_hi` read
-    /// padding for *every* output position (e.g. 9 of the paper's 10 taps
-    /// at sequence length 1), so the im2col matrix and the GEMM reduction
-    /// skip them entirely. Bit-safe: an all-zero tap segment contributes an
-    /// exact nothing to the segmented accumulation (see
-    /// [`pelican_tensor::pack`]).
-    tap_lo: usize,
-    tap_hi: usize,
-    /// Trimmed flat weight `[(tap_hi-tap_lo)·c_in, c_out]` transposed into
-    /// panel layout; refilled from the live weights every forward.
-    wt: Vec<f32>,
-    /// Trimmed im2col matrix `[b·t, (tap_hi-tap_lo)·c_in]` from the most
-    /// recent forward.
-    col: Vec<f32>,
+/// The kernel taps that reach data at sequence length `t`, ascending: tap
+/// `k`, the output positions it reaches and the input positions those
+/// read. Output position `to` reads input `to + k − pad`, so tap `pad`
+/// reads every position in place. Every other tap reads only "same"
+/// padding (9 of the paper's 10 taps at sequence length 1) and
+/// contributes nothing.
+fn live_taps(kernel: usize, t: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    // Keras convention: total padding `k-1`, split `(k-1)/2` left, the
+    // remainder right.
+    let pad = (kernel - 1) / 2;
+    (0..kernel).filter_map(move |k| {
+        let lo = pad.saturating_sub(k);
+        let hi = t.min((t + pad).saturating_sub(k));
+        (lo < hi).then(|| (k, lo..hi, lo + k - pad..hi + k - pad))
+    })
+}
+
+/// Positions `rows` of each of the `b` sequences in `src` (`t` positions
+/// of `w` values each), copied into consecutive rows of a workspace buffer.
+fn gathered(
+    src: &[f32],
+    (b, t, w): (usize, usize, usize),
+    rows: &Range<usize>,
+) -> workspace::WsBuf {
+    let n = rows.len() * w;
+    let mut dst = workspace::take(b * n);
+    for bi in 0..b {
+        let s = (bi * t + rows.start) * w;
+        dst[bi * n..(bi + 1) * n].copy_from_slice(&src[s..s + n]);
+    }
+    dst
+}
+
+/// Adds consecutive rows of `src` onto positions `rows` of each of the `b`
+/// sequences in `dst`: the inverse of [`gathered`].
+fn scatter_add(
+    src: &[f32],
+    (b, t, w): (usize, usize, usize),
+    rows: &Range<usize>,
+    dst: &mut [f32],
+) {
+    let n = rows.len() * w;
+    for bi in 0..b {
+        let d = (bi * t + rows.start) * w;
+        for (o, &v) in dst[d..d + n].iter_mut().zip(&src[bi * n..(bi + 1) * n]) {
+            *o += v;
+        }
+    }
 }
 
 impl Conv1d {
@@ -92,307 +117,124 @@ impl Conv1d {
             in_channels,
             out_channels,
             input_shape: None,
-            cache: ConvCache::default(),
+            input: Vec::new(),
         }
     }
 
-    /// Left padding for "same" output length (Keras convention: total
-    /// padding `k-1`, split `(k-1)/2` left, the remainder right).
-    fn pad_left(&self) -> isize {
-        ((self.kernel - 1) / 2) as isize
-    }
-
-    /// Extracts the `[c_in, c_out]` weight slab for kernel tap `k`.
-    fn weight_tap(&self, k: usize) -> Tensor {
+    /// The flat range of kernel tap `k`'s `[c_in, c_out]` weight slab.
+    fn tap(&self, k: usize) -> Range<usize> {
         let size = self.in_channels * self.out_channels;
-        let data = self.weight.value.as_slice()[k * size..(k + 1) * size].to_vec();
-        Tensor::from_vec(vec![self.in_channels, self.out_channels], data).expect("tap shape")
-    }
-
-    /// Rebuilds the per-position valid-tap spans when the sequence length
-    /// changes. For output position `to`, taps `k_lo..k_hi` read in-range
-    /// input rows; everything outside is "same" zero padding.
-    fn ensure_spans(&mut self, t: usize) {
-        if self.cache.spans_t == t {
-            return;
-        }
-        let pad = self.pad_left();
-        self.cache.spans.clear();
-        self.cache.spans.extend((0..t).map(|to| {
-            let k_lo = pad.saturating_sub(to as isize).max(0) as usize;
-            let k_hi = ((t as isize - to as isize + pad).min(self.kernel as isize)).max(0) as usize;
-            (k_lo, k_hi)
-        }));
-        // Per-position spans slide monotonically, so their union is the
-        // contiguous range [min k_lo, max k_hi).
-        self.cache.tap_lo = self.cache.spans.iter().map(|s| s.0).min().unwrap_or(0);
-        self.cache.tap_hi = self.cache.spans.iter().map(|s| s.1).max().unwrap_or(0);
-        self.cache.spans_t = t;
-    }
-
-    /// Columns of the trimmed im2col matrix: live taps × input channels.
-    fn col_width(&self) -> usize {
-        (self.cache.tap_hi - self.cache.tap_lo) * self.in_channels
-    }
-
-    /// Fills the cached im2col matrix from `x` (`[b·t, c_in]` flat): row
-    /// `(bi, to)` holds the input windows of the *live* taps
-    /// `tap_lo..tap_hi` laid out tap-major, with out-of-range taps as
-    /// explicit zeros. Valid taps are consecutive input rows, so each row
-    /// is one zero-prefix, one `memcpy`, one zero-suffix.
-    fn fill_col(&mut self, x: &[f32], b: usize, t: usize) {
-        let c = self.in_channels;
-        let kke = self.col_width();
-        let tap_lo = self.cache.tap_lo;
-        let pad = self.pad_left();
-        let col_len = b * t * kke;
-        if self.cache.col.len() != col_len {
-            self.cache.col.clear();
-            self.cache.col.resize(col_len, 0.0);
-        }
-        let col = &mut self.cache.col;
-        for bi in 0..b {
-            for to in 0..t {
-                let (k_lo, k_hi) = self.cache.spans[to];
-                let off = (bi * t + to) * kke;
-                let ti0 = (to as isize + k_lo as isize - pad) as usize;
-                let src0 = (bi * t + ti0) * c;
-                let lo = (k_lo - tap_lo) * c;
-                let hi = (k_hi - tap_lo) * c;
-                col[off..off + lo].fill(0.0);
-                col[off + lo..off + hi].copy_from_slice(&x[src0..src0 + (k_hi - k_lo) * c]);
-                col[off + hi..off + kke].fill(0.0);
-            }
-        }
-    }
-
-    /// The live-tap slab of the flat `[k·c_in, c_out]` weight view: rows
-    /// `tap_lo·c_in .. tap_hi·c_in`, contiguous in the flat layout.
-    fn weight_live(&self) -> &[f32] {
-        let c = self.in_channels;
-        let span =
-            self.cache.tap_lo * c * self.out_channels..self.cache.tap_hi * c * self.out_channels;
-        &self.weight.value.as_slice()[span]
-    }
-
-    /// The retained seed forward: per-tap gather + matmul + scatter-add.
-    /// Kept verbatim as the reference the im2col path is proptested
-    /// bit-identical against, and as the baseline `bench_kernels` times.
-    pub fn forward_reference(&self, input: &Tensor) -> Tensor {
-        let (b, t, c) = btc(input.shape());
-        assert_eq!(c, self.in_channels, "conv1d channel mismatch");
-        let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
-        let pad = self.pad_left();
-        let flat_in = rank3.reshape(vec![b * t, c]).expect("conv flatten");
-        let mut out = Tensor::zeros(vec![b * t, self.out_channels]);
-        for k in 0..self.kernel {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
-            if t_lo >= t_hi {
-                continue;
-            }
-            let mut in_rows = Vec::with_capacity(b * (t_hi - t_lo));
-            let mut out_rows = Vec::with_capacity(b * (t_hi - t_lo));
-            for bi in 0..b {
-                for to in t_lo..t_hi {
-                    in_rows.push(bi * t + (to as isize + shift) as usize);
-                    out_rows.push(bi * t + to);
-                }
-            }
-            let xs = flat_in.gather_rows(&in_rows);
-            let tap = self.weight_tap(k);
-            let contrib = xs.matmul(&tap).expect("conv tap matmul");
-            let cw = self.out_channels;
-            for (ri, &ro) in out_rows.iter().enumerate() {
-                let src = &contrib.as_slice()[ri * cw..(ri + 1) * cw];
-                let dst = &mut out.as_mut_slice()[ro * cw..(ro + 1) * cw];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        }
-        out.add_row_bias(&self.bias.value).expect("conv bias");
-        out.reshape(vec![b, t, self.out_channels])
-            .expect("conv out")
-    }
-
-    /// The retained seed backward: per-tap `matmul_at`/`matmul_bt` with
-    /// gather/scatter. Returns `(dx, dweight, dbias)` without touching the
-    /// parameter gradients — the proptests compare these against the
-    /// im2col backward's accumulated grads.
-    pub fn backward_reference(
-        &self,
-        input: &Tensor,
-        grad_out: &Tensor,
-    ) -> (Tensor, Tensor, Tensor) {
-        let (b, t, c) = btc(input.shape());
-        let pad = self.pad_left();
-        let flat_in = input.reshape(vec![b * t, c]).expect("conv flatten");
-        let dy = grad_out
-            .reshape(vec![b * t, self.out_channels])
-            .expect("conv grad flatten");
-        let db = dy.sum_axis0().expect("conv db");
-        let mut dweight = Tensor::zeros(self.weight.value.shape().to_vec());
-        let mut dx = Tensor::zeros(vec![b * t, c]);
-        let tap_size = self.in_channels * self.out_channels;
-        for k in 0..self.kernel {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
-            if t_lo >= t_hi {
-                continue;
-            }
-            let mut in_rows = Vec::with_capacity(b * (t_hi - t_lo));
-            let mut out_rows = Vec::with_capacity(b * (t_hi - t_lo));
-            for bi in 0..b {
-                for to in t_lo..t_hi {
-                    in_rows.push(bi * t + (to as isize + shift) as usize);
-                    out_rows.push(bi * t + to);
-                }
-            }
-            let xs = flat_in.gather_rows(&in_rows);
-            let dys = dy.gather_rows(&out_rows);
-            let dtap = xs.matmul_at(&dys).expect("conv dW");
-            let dst = &mut dweight.as_mut_slice()[k * tap_size..(k + 1) * tap_size];
-            for (d, &s) in dst.iter_mut().zip(dtap.as_slice()) {
-                *d += s;
-            }
-            let tap = self.weight_tap(k);
-            let dxs = dys.matmul_bt(&tap).expect("conv dX");
-            for (ri, &row) in in_rows.iter().enumerate() {
-                let src = &dxs.as_slice()[ri * c..(ri + 1) * c];
-                let dst = &mut dx.as_mut_slice()[row * c..(row + 1) * c];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        }
-        let dx = dx.reshape(input.shape().to_vec()).expect("conv dx shape");
-        (dx, dweight, db)
+        k * size..(k + 1) * size
     }
 }
 
 impl Layer for Conv1d {
-    /// im2col forward: one packed GEMM over the whole batch instead of a
-    /// gather + matmul + scatter per kernel tap.
-    ///
-    /// Bit-identity with [`Conv1d::forward_reference`]: each output element
-    /// accumulates its taps ascending through `seg = c_in` segments of the
-    /// col row — the same per-tap dot, in the same tap order, as the seed
-    /// kernel — and the explicit zero padding contributes exact `+0.0`s,
-    /// which the segmented accumulation is proof against (see
-    /// [`pelican_tensor::pack`]).
-    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+    /// One product per live tap, `x[inp] · W[k]`, added onto the tap's
+    /// output rows `rows` in ascending tap order — the seed's per-tap order,
+    /// so every bit matches it. Tap `pad` reads `x` in place; when it is
+    /// the first contribution (always, at sequence length 1) its product
+    /// is written straight into the output, which equals `0 + product`
+    /// because [`pack::dot_seg`] never returns `-0.0`. Shifted taps gather
+    /// their input rows and add their product back run by run.
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let (b, t, c) = btc(input.shape());
         assert_eq!(c, self.in_channels, "conv1d channel mismatch");
-        self.ensure_spans(t);
-        self.fill_col(input.as_slice(), b, t);
-        let kke = self.col_width();
-        // The executed live-tap GEMM, not the nominal `kernel` taps: this
-        // is the conv share of `tensor.matmul_flops`, not an addition.
+        let co = self.out_channels;
+        let x = input.as_slice();
         pelican_observe::counter_add("tensor.conv_calls", 1);
-        pelican_observe::counter_add(
-            "tensor.conv_flops",
-            2 * (b * t * kke * self.out_channels) as u64,
-        );
-        let wt_len = self.out_channels * kke;
-        let mut wt = std::mem::take(&mut self.cache.wt);
-        if wt.len() != wt_len {
-            wt.clear();
-            wt.resize(wt_len, 0.0);
+        let mut out = vec![0.0f32; b * t * co];
+        let mut first = true;
+        for (k, rows, inp) in live_taps(self.kernel, t) {
+            let m = b * rows.len();
+            let in_place = inp == rows;
+            // The executed products, not the nominal `kernel` taps: this
+            // is the conv share of `tensor.matmul_flops`, not an addition.
+            pelican_observe::counter_add("tensor.conv_flops", 2 * (m * c * co) as u64);
+            // Refilled every call: the optimizer moves the weights.
+            let mut wt = workspace::take(c * co);
+            pack::pack_transpose(&self.weight.value.as_slice()[self.tap(k)], c, co, &mut wt);
+            if in_place && first {
+                pack::gemm_bt(x, &wt, m, c, co, c, &mut out);
+            } else {
+                let xs;
+                let a = if in_place {
+                    x
+                } else {
+                    xs = gathered(x, (b, t, c), &inp);
+                    &xs[..]
+                };
+                let mut prod = workspace::take(m * co);
+                pack::gemm_bt(a, &wt, m, c, co, c, &mut prod);
+                scatter_add(&prod, (b, t, co), &rows, &mut out);
+            }
+            first = false;
         }
-        // The live-tap slab of the flat [k·c_in, c_out] weight view,
-        // transposed into panel layout; refilled every call because the
-        // optimizer moves the weights between calls.
-        pack::pack_transpose(self.weight_live(), kke, self.out_channels, &mut wt);
-        let mut out = vec![0.0f32; b * t * self.out_channels];
-        pack::gemm_bt(
-            &self.cache.col,
-            &wt,
-            b * t,
-            kke,
-            self.out_channels,
-            c,
-            &mut out,
-        );
-        self.cache.wt = wt;
-        let mut out =
-            Tensor::from_vec(vec![b * t, self.out_channels], out).expect("conv out shape");
+        let mut out = Tensor::from_vec(vec![b * t, co], out).expect("conv out shape");
         out.add_row_bias(&self.bias.value).expect("conv bias");
-        self.input_shape = Some(input.shape().to_vec());
-        out.into_shape(vec![b, t, self.out_channels])
-            .expect("conv out")
+        self.input_shape = match mode {
+            Mode::Train => {
+                self.input.clear();
+                self.input.extend_from_slice(x);
+                Some(input.shape().to_vec())
+            }
+            Mode::Eval => None,
+        };
+        out.into_shape(vec![b, t, co]).expect("conv out")
     }
 
-    /// im2col backward: `dW` is one `colᵀ·dY` product (the ascending-row
-    /// zero-skip kernel ignores the padding zeros exactly where the seed
-    /// kernel's gathers excluded them), `dX` is one `dY·Wᵀ` product
-    /// scattered back through the col layout in tap order.
+    /// Per live tap, ascending: `dW[k] += x[inp]ᵀ · dy[rows]` and
+    /// `dx[inp] += dy[rows] · W[k]ᵀ`, each tap's weight gradient written
+    /// through its own `grad_mut` slab. As in the forward, tap `pad` reads
+    /// `x` and `dy` in place and, when first, writes its product straight
+    /// into `dx`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let shape = self
             .input_shape
             .clone()
             .expect("conv1d backward before forward");
         let (b, t, c) = btc(&shape);
-        let pad = self.pad_left();
-        let kke = self.col_width();
-        let (tap_lo, tap_hi) = (self.cache.tap_lo, self.cache.tap_hi);
+        let co = self.out_channels;
         let dy = grad_out.as_slice();
-        assert_eq!(dy.len(), b * t * self.out_channels, "conv grad length");
+        assert_eq!(dy.len(), b * t * co, "conv grad length");
 
         // Bias gradient: sum of dy over all positions.
-        add_col_sums(dy, self.out_channels, 0, self.bias.grad_mut(..));
+        add_col_sums(dy, co, 0, self.bias.grad_mut(..));
 
-        // dW = colᵀ · dY, accumulated into the live-tap rows of the
-        // parameter gradient (taps outside the union read padding
-        // everywhere, so their gradient contribution is exactly zero).
-        let mut dw = workspace::take(kke * self.out_channels);
-        pack::matmul_at_into(&self.cache.col, dy, b * t, kke, self.out_channels, &mut dw);
-        let g0 = tap_lo * c * self.out_channels;
-        for (d, &s) in self
-            .weight
-            .grad_mut(g0..g0 + dw.len())
-            .iter_mut()
-            .zip(dw.iter())
-        {
-            *d += s;
-        }
+        let x = &self.input;
+        let mut dx = vec![0.0f32; b * t * c];
+        let mut first = true;
+        for (k, rows, inp) in live_taps(self.kernel, t) {
+            let m = b * rows.len();
+            let in_place = inp == rows;
+            let (xs, dys);
+            let (a, g) = if in_place {
+                (&x[..], dy)
+            } else {
+                xs = gathered(x, (b, t, c), &inp);
+                dys = gathered(dy, (b, t, co), &rows);
+                (&xs[..], &dys[..])
+            };
 
-        // dcol = dY · Wᵀ: the live-tap slab of the flat [k·c_in, c_out]
-        // weight is already the panel (n×k) layout matmul_bt consumes.
-        let mut dcol = workspace::take(b * t * kke);
-        pack::gemm_bt(
-            dy,
-            self.weight_live(),
-            b * t,
-            self.out_channels,
-            kke,
-            self.out_channels,
-            &mut dcol,
-        );
-        // col2im: scatter-add tap columns back onto shifted input rows, in
-        // the seed kernel's tap-then-row order.
-        let mut dx = Tensor::zeros(vec![b * t, c]);
-        let dxs = dx.as_mut_slice();
-        for k in tap_lo..tap_hi {
-            let shift = k as isize - pad;
-            let t_lo = (-shift).max(0) as usize;
-            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
-            let kc = (k - tap_lo) * c;
-            for bi in 0..b {
-                for to in t_lo..t_hi {
-                    let src_row = bi * t + to;
-                    let dst_row = bi * t + (to as isize + shift) as usize;
-                    let src = &dcol[src_row * kke + kc..src_row * kke + kc + c];
-                    let dst = &mut dxs[dst_row * c..(dst_row + 1) * c];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d += s;
-                    }
-                }
+            let mut dw = workspace::take(c * co);
+            pack::matmul_at_into(a, g, m, c, co, &mut dw);
+            let slab = self.tap(k);
+            for (d, &s) in self.weight.grad_mut(slab.clone()).iter_mut().zip(dw.iter()) {
+                *d += s;
             }
+
+            // The `[c_in, c_out]` slab is already the panel layout
+            // `dy · Wᵀ` consumes.
+            let w = &self.weight.value.as_slice()[slab];
+            if in_place && first {
+                pack::gemm_bt(g, w, m, co, c, co, &mut dx);
+            } else {
+                let mut prod = workspace::take(m * c);
+                pack::gemm_bt(g, w, m, co, c, co, &mut prod);
+                scatter_add(&prod, (b, t, c), &inp, &mut dx);
+            }
+            first = false;
         }
-        dx.into_shape(shape).expect("conv dx shape")
+        Tensor::from_vec(shape, dx).expect("conv dx shape")
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -454,7 +296,8 @@ mod tests {
         let x = Tensor::ones(vec![2, 1, 4]);
         let y = conv.forward(&x, Mode::Eval);
         // Expected: x · W[pad_left] + b with pad_left = 4.
-        let tap = conv.weight_tap(4);
+        let tap = conv.weight.value.as_slice()[4 * 16..5 * 16].to_vec();
+        let tap = Tensor::from_vec(vec![4, 4], tap).unwrap();
         let expect = Tensor::ones(vec![2, 4]).matmul(&tap).unwrap();
         for (a, e) in y.as_slice().iter().zip(expect.as_slice()) {
             assert!((a - e).abs() < 1e-5);
@@ -476,6 +319,25 @@ mod tests {
             rec.counter("tensor.conv_flops"),
             rec.counter("tensor.matmul_flops")
         );
+    }
+
+    /// At t = 3 with kernel 3 the three taps reach 2, 3 and 2 output
+    /// positions: `tensor.conv_flops` counts those 7 rows per sequence,
+    /// not the 9 a padded patch matrix would hold. A Train step runs one
+    /// product per live tap forward and two backward; at t = 1, one and
+    /// two.
+    #[test]
+    fn conv_flops_skip_padding_and_products_follow_live_taps() {
+        for (t, rows, products) in [(3usize, 7u64, 9u64), (1, 1, 3)] {
+            let rec = std::sync::Arc::new(pelican_observe::InMemoryRecorder::new());
+            let mut conv = Conv1d::new(4, 3, 3, &mut SeededRng::new(8));
+            pelican_observe::with_recorder(rec.clone(), || {
+                conv.forward(&Tensor::ones(vec![2, t, 4]), Mode::Train);
+                conv.backward(&Tensor::ones(vec![2, t, 3]));
+            });
+            assert_eq!(rec.counter("tensor.conv_flops"), 2 * 2 * rows * 4 * 3);
+            assert_eq!(rec.counter("tensor.matmul_calls"), products);
+        }
     }
 
     #[test]
@@ -508,6 +370,18 @@ mod tests {
         let mut conv = Conv1d::new(4, 4, 3, &mut rng);
         let y = conv.forward(&Tensor::ones(vec![2, 4]), Mode::Eval);
         assert_eq!(y.shape(), &[2, 1, 4]);
+    }
+
+    /// An Eval forward keeps no input, and drops the one an earlier Train
+    /// forward kept, so a backward after it cannot use a stale input.
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn backward_after_eval_forward_panics() {
+        let mut conv = Conv1d::new(3, 3, 3, &mut SeededRng::new(7));
+        let x = Tensor::ones(vec![2, 4, 3]);
+        conv.forward(&x, Mode::Train);
+        conv.forward(&x, Mode::Eval);
+        conv.backward(&Tensor::ones(vec![2, 4, 3]));
     }
 
     #[test]

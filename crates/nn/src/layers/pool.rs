@@ -46,11 +46,6 @@ impl MaxPool1d {
             input_shape: None,
         }
     }
-
-    /// The pool size.
-    pub fn pool(&self) -> usize {
-        self.pool
-    }
 }
 
 impl Layer for MaxPool1d {

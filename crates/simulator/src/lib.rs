@@ -57,8 +57,6 @@ pub use pipeline::{
     BreakerConfig, BreakerState, CircuitBreaker, CostModel, PipelineConfig, ServedBy, ShedPolicy,
     StreamingPipeline, WindowVerdict,
 };
-pub use resilient::{
-    score_windows, AllNormalFallback, FaultyDetector, ResilienceConfig, ResilientDetector,
-};
+pub use resilient::{AllNormalFallback, FaultyDetector, ResilienceConfig, ResilientDetector};
 pub use sim::{SimConfig, SimReport, Simulation};
 pub use traffic::{Campaign, Flow, TrafficConfig, TrafficStream};

@@ -15,7 +15,6 @@
 use crate::chaos::{ChaosEvent, ChaosSchedule};
 use crate::detector::Detector;
 use crate::traffic::Flow;
-use pelican_runtime::{tree_reduce, Pool};
 use pelican_tensor::SeededRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -138,39 +137,6 @@ impl<P: Detector, F: Detector> Detector for ResilientDetector<P, F> {
     fn take_stall_ticks(&mut self) -> u64 {
         self.primary.take_stall_ticks() + self.fallback.take_stall_ticks()
     }
-}
-
-/// Scores a batch of windows concurrently on the ambient
-/// [`pelican_runtime`] worker pool.
-///
-/// Detectors are stateful (`classify` takes `&mut self`), so each window
-/// is scored by a fresh detector built by `make(window_id)` — the factory
-/// owns the seed-stream policy (e.g. derive a per-window seed with
-/// [`pelican_runtime::stream_seed`]). Because every window's verdict is a
-/// pure function of `(make, window_id, window)`, the returned predictions
-/// are identical at every worker count; the per-window degraded counts
-/// are combined with a fixed-order [`tree_reduce`].
-///
-/// Returns the per-window predictions, in window order, and the total
-/// number of degraded windows.
-pub fn score_windows<D, F>(windows: &[Vec<Flow>], make: F) -> (Vec<Vec<usize>>, usize)
-where
-    D: Detector,
-    F: Fn(usize) -> D + Sync,
-{
-    let scored = Pool::current().map(windows.len(), |w| {
-        let mut det = make(w);
-        let preds = det.classify(&windows[w]);
-        (preds, det.degraded_windows())
-    });
-    let mut preds = Vec::with_capacity(scored.len());
-    let mut counts = Vec::with_capacity(scored.len());
-    for (p, d) in scored {
-        preds.push(p);
-        counts.push(d);
-    }
-    let degraded = tree_reduce(counts, |a, b| a + b).unwrap_or(0);
-    (preds, degraded)
 }
 
 /// A fallback that never alerts — fail-silent: the pipeline stays up and
@@ -510,55 +476,6 @@ mod tests {
         assert!(
             first.3 > 0 && first.4 > 0,
             "the chosen rates must actually inject faults and stalls"
-        );
-    }
-
-    #[test]
-    fn score_windows_parallel_matches_serial() {
-        use pelican_runtime::{stream_seed, with_exec, with_workers, ExecConfig};
-        let windows: Vec<Vec<Flow>> = (0..9)
-            .map(|i| TrafficStream::nslkdd(0.3, i as u64).next_window(10 + i))
-            .collect();
-        let make = |w: usize| {
-            let faulty = FaultyDetector::new(
-                OracleDetector::new(1.0, 0.0, stream_seed(77, w as u64)),
-                stream_seed(5, w as u64),
-                0.5,
-            );
-            ResilientDetector::new(faulty, AllNormalFallback, ResilienceConfig::default())
-        };
-        let (serial_preds, serial_degraded) =
-            with_exec(ExecConfig::serial(), || score_windows(&windows, make));
-        for workers in [2usize, 3, 7] {
-            let (preds, degraded) = with_workers(workers, || score_windows(&windows, make));
-            assert_eq!(preds, serial_preds, "predictions @ {workers} workers");
-            assert_eq!(
-                degraded, serial_degraded,
-                "degraded count @ {workers} workers"
-            );
-        }
-        for (i, (p, w)) in serial_preds.iter().zip(&windows).enumerate() {
-            assert_eq!(p.len(), w.len(), "window {i} fully covered");
-        }
-    }
-
-    #[test]
-    fn score_windows_counts_degradations() {
-        // Rate-1.0 fault injection degrades every window; the fixed-order
-        // count reduction must see all of them.
-        let windows: Vec<Vec<Flow>> = (0..5).map(|_| window(8)).collect();
-        let (preds, degraded) = crate::resilient::score_windows(&windows, |w| {
-            ResilientDetector::new(
-                FaultyDetector::new(OracleDetector::new(1.0, 0.0, 3), w as u64, 1.0),
-                AllNormalFallback,
-                ResilienceConfig::default(),
-            )
-        });
-        assert_eq!(preds.len(), 5);
-        assert_eq!(degraded, 5);
-        assert!(
-            preds.iter().flatten().all(|&p| p == 0),
-            "all degraded to fallback"
         );
     }
 

@@ -3,7 +3,7 @@
 use crate::alerts::{Alert, Analyst, TriageStats};
 use crate::detector::Detector;
 use crate::pipeline::{ServedBy, StreamingPipeline, WindowVerdict};
-use crate::traffic::{Flow, TrafficStream};
+use crate::traffic::{Campaign, Flow, TrafficStream};
 use pelican_core::PipelineHealth;
 use std::collections::HashMap;
 
@@ -77,85 +77,19 @@ impl Simulation {
         &self,
         mut stream: TrafficStream,
         mut detector: impl Detector,
-        mut team: Analyst,
+        team: Analyst,
     ) -> SimReport {
-        let mut flows_total = 0usize;
-        let mut alerts_total = 0usize;
-        let mut attacks = 0usize;
-        let mut attacks_flagged = 0usize;
-        let mut normals = 0usize;
-        let mut normals_flagged = 0usize;
-        let mut first_alert: HashMap<usize, f64> = HashMap::new();
-        let mut clock = 0.0f64;
-
-        for _ in 0..self.config.windows {
-            let window = stream.next_window(self.config.flows_per_window);
-            let preds = detector.classify(&window);
-            debug_assert_eq!(preds.len(), window.len());
-            for (flow, &pred) in window.iter().zip(&preds) {
-                flows_total += 1;
-                clock = clock.max(flow.time);
-                let flagged = pred != 0;
-                if flow.true_class != 0 {
-                    attacks += 1;
-                    attacks_flagged += usize::from(flagged);
-                } else {
-                    normals += 1;
-                    normals_flagged += usize::from(flagged);
-                }
-                if flagged {
-                    alerts_total += 1;
-                    if let Some(campaign) = flow.campaign {
-                        first_alert.entry(campaign).or_insert(flow.time);
-                    }
-                    team.receive(Alert {
-                        time: flow.time,
-                        suspected_class: pred,
-                        is_true_positive: flow.true_class != 0,
-                        campaign: flow.campaign,
-                    });
-                }
-            }
-            team.work_until(clock);
-        }
-        // Let the team drain whatever it can in one more triage horizon.
-        team.work_until(clock + 1e9);
-
-        let campaigns = stream.campaigns();
-        let mut latency_sum = 0.0f64;
-        let mut detected = 0usize;
-        for campaign in campaigns {
-            if let Some(&t) = first_alert.get(&campaign.id) {
-                detected += 1;
-                latency_sum += t - campaign.start;
-            }
-        }
-
+        let served: Vec<(Vec<Flow>, Vec<usize>)> = (0..self.config.windows)
+            .map(|_| {
+                let window = stream.next_window(self.config.flows_per_window);
+                let preds = detector.classify(&window);
+                (window, preds)
+            })
+            .collect();
         SimReport {
             detector: detector.name(),
-            flows: flows_total,
-            alerts: alerts_total,
-            detection_rate: if attacks == 0 {
-                0.0
-            } else {
-                attacks_flagged as f64 / attacks as f64
-            },
-            false_alarm_rate: if normals == 0 {
-                0.0
-            } else {
-                normals_flagged as f64 / normals as f64
-            },
-            campaigns_detected: detected,
-            campaigns_total: campaigns.len(),
-            mean_time_to_detection: if detected == 0 {
-                None
-            } else {
-                Some(latency_sum / detected as f64)
-            },
             degraded_windows: detector.degraded_windows(),
-            shed_windows: 0,
-            pipeline: None,
-            triage: team.stats(),
+            ..account(&served, 0, stream.campaigns(), team)
         }
     }
 
@@ -174,7 +108,7 @@ impl Simulation {
         &self,
         mut stream: TrafficStream,
         pipeline: &mut StreamingPipeline<P, F>,
-        mut team: Analyst,
+        team: Analyst,
     ) -> SimReport {
         let mut windows: Vec<Vec<Flow>> = Vec::with_capacity(self.config.windows);
         let mut verdicts: Vec<WindowVerdict> = Vec::new();
@@ -187,88 +121,111 @@ impl Simulation {
         // Replay outcomes in arrival order regardless of service order.
         verdicts.sort_by_key(|v| v.id);
 
-        let mut flows_total = 0usize;
-        let mut alerts_total = 0usize;
-        let mut attacks = 0usize;
-        let mut attacks_flagged = 0usize;
-        let mut normals = 0usize;
-        let mut normals_flagged = 0usize;
-        let mut shed_windows = 0usize;
-        let mut first_alert: HashMap<usize, f64> = HashMap::new();
-        let mut clock = 0.0f64;
-
-        for verdict in &verdicts {
-            let window = &windows[verdict.id];
-            if verdict.served_by == ServedBy::Shed {
-                shed_windows += 1;
-                continue;
-            }
-            debug_assert_eq!(verdict.preds.len(), window.len());
-            for (flow, &pred) in window.iter().zip(&verdict.preds) {
-                flows_total += 1;
-                clock = clock.max(flow.time);
-                let flagged = pred != 0;
-                if flow.true_class != 0 {
-                    attacks += 1;
-                    attacks_flagged += usize::from(flagged);
-                } else {
-                    normals += 1;
-                    normals_flagged += usize::from(flagged);
-                }
-                if flagged {
-                    alerts_total += 1;
-                    if let Some(campaign) = flow.campaign {
-                        first_alert.entry(campaign).or_insert(flow.time);
-                    }
-                    team.receive(Alert {
-                        time: flow.time,
-                        suspected_class: pred,
-                        is_true_positive: flow.true_class != 0,
-                        campaign: flow.campaign,
-                    });
-                }
-            }
-            team.work_until(clock);
-        }
-        team.work_until(clock + 1e9);
-
-        let campaigns = stream.campaigns();
-        let mut latency_sum = 0.0f64;
-        let mut detected = 0usize;
-        for campaign in campaigns {
-            if let Some(&t) = first_alert.get(&campaign.id) {
-                detected += 1;
-                latency_sum += t - campaign.start;
-            }
-        }
-
+        let shed = verdicts
+            .iter()
+            .filter(|v| v.served_by == ServedBy::Shed)
+            .count();
+        let served: Vec<(Vec<Flow>, Vec<usize>)> = verdicts
+            .into_iter()
+            .filter(|v| v.served_by != ServedBy::Shed)
+            .map(|v| (std::mem::take(&mut windows[v.id]), v.preds))
+            .collect();
         let health = *pipeline.health();
         SimReport {
             detector: "streaming",
-            flows: flows_total,
-            alerts: alerts_total,
-            detection_rate: if attacks == 0 {
-                0.0
-            } else {
-                attacks_flagged as f64 / attacks as f64
-            },
-            false_alarm_rate: if normals == 0 {
-                0.0
-            } else {
-                normals_flagged as f64 / normals as f64
-            },
-            campaigns_detected: detected,
-            campaigns_total: campaigns.len(),
-            mean_time_to_detection: if detected == 0 {
-                None
-            } else {
-                Some(latency_sum / detected as f64)
-            },
             degraded_windows: health.degraded,
-            shed_windows,
             pipeline: Some(health),
-            triage: team.stats(),
+            ..account(&served, shed, stream.campaigns(), team)
         }
+    }
+}
+
+/// The accounting pass of one run over its served `(window, preds)` pairs
+/// in arrival order: flow counts and rates, alerts routed to `team` (which
+/// triages up to each window's last flow, then drains one more horizon),
+/// and each campaign's time to its first alert. `shed_windows` never
+/// reached a detector. The report names no detector and carries no
+/// degraded windows or pipeline health; the caller fills those in.
+fn account(
+    served: &[(Vec<Flow>, Vec<usize>)],
+    shed_windows: usize,
+    campaigns: &[Campaign],
+    mut team: Analyst,
+) -> SimReport {
+    let mut flows_total = 0usize;
+    let mut alerts_total = 0usize;
+    let mut attacks = 0usize;
+    let mut attacks_flagged = 0usize;
+    let mut normals = 0usize;
+    let mut normals_flagged = 0usize;
+    let mut first_alert: HashMap<usize, f64> = HashMap::new();
+    let mut clock = 0.0f64;
+
+    for (window, preds) in served {
+        debug_assert_eq!(preds.len(), window.len());
+        for (flow, &pred) in window.iter().zip(preds) {
+            flows_total += 1;
+            clock = clock.max(flow.time);
+            let flagged = pred != 0;
+            if flow.true_class != 0 {
+                attacks += 1;
+                attacks_flagged += usize::from(flagged);
+            } else {
+                normals += 1;
+                normals_flagged += usize::from(flagged);
+            }
+            if flagged {
+                alerts_total += 1;
+                if let Some(campaign) = flow.campaign {
+                    first_alert.entry(campaign).or_insert(flow.time);
+                }
+                team.receive(Alert {
+                    time: flow.time,
+                    suspected_class: pred,
+                    is_true_positive: flow.true_class != 0,
+                    campaign: flow.campaign,
+                });
+            }
+        }
+        team.work_until(clock);
+    }
+    // Let the team drain whatever it can in one more triage horizon.
+    team.work_until(clock + 1e9);
+
+    let mut latency_sum = 0.0f64;
+    let mut detected = 0usize;
+    for campaign in campaigns {
+        if let Some(&t) = first_alert.get(&campaign.id) {
+            detected += 1;
+            latency_sum += t - campaign.start;
+        }
+    }
+
+    SimReport {
+        detector: "",
+        flows: flows_total,
+        alerts: alerts_total,
+        detection_rate: if attacks == 0 {
+            0.0
+        } else {
+            attacks_flagged as f64 / attacks as f64
+        },
+        false_alarm_rate: if normals == 0 {
+            0.0
+        } else {
+            normals_flagged as f64 / normals as f64
+        },
+        campaigns_detected: detected,
+        campaigns_total: campaigns.len(),
+        mean_time_to_detection: if detected == 0 {
+            None
+        } else {
+            Some(latency_sum / detected as f64)
+        },
+        degraded_windows: 0,
+        shed_windows,
+        pipeline: None,
+        triage: team.stats(),
     }
 }
 

@@ -25,13 +25,14 @@
 //! the lane reduction restarts at every `seg` boundary. With `seg == k` this
 //! is byte-for-byte the original kernel; with `seg < k` it reproduces the
 //! accumulation order of a chain of `k/seg` smaller products added in
-//! sequence — which is precisely how the pre-im2col Conv1d (one product per
-//! kernel tap) and pre-fused GRU (one product per gate operand) accumulated.
-//! The bridge between the two orders is the fact that `dot_seg` can never
-//! return `-0.0` (lane accumulators start at `+0.0`, and under
-//! round-to-nearest `x + (-x) = +0.0`), so `acc += segment` is bit-equal to
-//! the old "first product assigns, later products add" chain, and
-//! all-zero padding segments contribute exactly nothing.
+//! sequence — which is precisely how the per-gate GRU (one product per gate
+//! operand) accumulates. The bridge between the two orders is the fact that
+//! `dot_seg` can never return `-0.0` (lane accumulators start at `+0.0`,
+//! and under round-to-nearest `x + (-x) = +0.0`), so `acc += segment` is
+//! bit-equal to the "first product assigns, later products add" chain, and
+//! all-zero padding segments contribute exactly nothing. The same fact lets
+//! Conv1d write its first tap's product straight into its output where the
+//! seed added it to zeros.
 //!
 //! # Lane engines
 //!
@@ -1035,7 +1036,7 @@ fn partition(
 /// worker count. [`gemm_bt_then`] with a no-op epilogue.
 ///
 /// This is the single funnel for dense products — `matmul`, `matmul_bt`,
-/// the im2col Conv1d and the fused GRU step all land here, which is also
+/// Conv1d's per-tap products and the GRU step all land here, which is also
 /// where the FLOP counters live. With the 512-bit engine, `bt` is first
 /// interleaved into workspace memory once per call (for at least four
 /// rows of A), and every row chunk reads that one panel.

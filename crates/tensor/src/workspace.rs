@@ -1,7 +1,8 @@
 //! Thread-local scratch-buffer arena for kernel temporaries.
 //!
 //! The packed GEMM core needs short-lived f32 buffers (packed B panels,
-//! im2col matrices, fused-gate blocks) on every call. Allocating them from
+//! Conv1d's gathered rows and per-tap products, GRU gate blocks) on every
+//! call. Allocating them from
 //! the global allocator per product dominated small-kernel cost, so this
 //! module keeps a per-thread free list of grow-only buffers: [`take`] hands
 //! out the best-fitting retired buffer (zeroed to the requested length) and

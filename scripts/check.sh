@@ -4,9 +4,8 @@
 # Run from anywhere inside the repo.
 #
 # The suite runs twice — PELICAN_THREADS=1 (pure serial paths) and
-# PELICAN_THREADS=4 (pooled kernels, concurrent folds, parallel window
-# scoring) — because the engine's contract is that both produce identical
-# results. Each run is the whole workspace (the root's `default-members`
+# PELICAN_THREADS=4 (pooled kernels, concurrent folds) — because the
+# engine's contract is that both produce identical results. Each run is the whole workspace (the root's `default-members`
 # includes the facade package, so the pipeline chaos, observability and
 # kernel-equivalence integration tests run at both counts). The ignored
 # exhaustive `tanh` sweep (all 2^32 inputs, both engines against the

@@ -1,10 +1,10 @@
 //! Equivalence suite for the packed compute core.
 //!
-//! The blocked GEMM (`pelican::tensor::pack`), the im2col `Conv1d` and the
-//! sequence-length-1 `Gru` step each retain their seed kernels as references
-//! (`gemm_bt_reference`, `forward_reference`/`backward_reference`,
-//! `reference_fwd_bwd`), and `matmul_at_into` is checked against the
-//! serial scalar `matmul_at_rows`. These properties assert the optimized
+//! The blocked GEMM (`pelican::tensor::pack`) and the sequence-length-1
+//! `Gru` step each retain their seed kernels as references
+//! (`gemm_bt_reference`, `reference_fwd_bwd`), `Conv1d` is checked against
+//! its seed per-tap path (`support/layer_reference.rs`'s `Conv1dRef`), and
+//! `matmul_at_into` against the serial scalar `matmul_at_rows`. These properties assert the optimized
 //! paths are *bit-identical* to those references — compared through
 //! `f32::to_bits`, so `-0.0` vs `0.0` drift would fail, and a NaN must land
 //! where the reference puts one — across adversarial shapes (`k = 0`,
@@ -971,36 +971,60 @@ proptest! {
         check_matmul_at_poisoned(k, m, n, seed.wrapping_add(2718), &poison);
     }
 
-    /// im2col Conv1d forward/backward (one packed GEMM over the gathered
-    /// patch matrix) is bit-identical to the retained per-tap seed path,
-    /// including the accumulated parameter gradients.
+    /// `Conv1d` forward/backward through `Layer` is bit-identical to the
+    /// seed per-tap path (`Conv1dRef`), including the accumulated parameter
+    /// gradients, with signed zeros, NaN and ±Inf salted into the input
+    /// and the weights: the shift-0 tap, which reads `x` and `dy` in place,
+    /// and the shifted taps, which gather them, must put NaN where the
+    /// seed puts it and match every other bit. The weight gradient's hull
+    /// is the live taps' slabs, `tap_lo·c_in·c_out..tap_hi·c_in·c_out`.
     #[test]
     fn prop_conv1d_matches_reference(
         (batch, seq, cin, cout, kernel) in (1usize..5, 1usize..8, 1usize..5, 1usize..5, 1usize..8),
+        poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..512), 0..4),
         seed in 0u64..150,
     ) {
         let mut rng = SeededRng::new(seed.wrapping_add(555));
-        let x = random_tensor(vec![batch, seq, cin], &mut rng);
+        let mut x = random_tensor(vec![batch, seq, cin], &mut rng);
+        let new_conv = || Conv1d::new(cin, cout, kernel, &mut SeededRng::new(97));
+        let (mut weight, bias) = {
+            let mut conv = new_conv();
+            let params = conv.params_mut();
+            (params[0].value.clone(), params[1].value.clone())
+        };
+        for &(operand, v, pos) in &poison {
+            let op = if operand == 0 { x.as_mut_slice() } else { weight.as_mut_slice() };
+            let len = op.len();
+            op[pos % len] = OPERAND_POISON[v];
+        }
+        let g = random_tensor(vec![batch, seq, cout], &mut SeededRng::new(seed ^ 0xC0));
+        let reference = layer_reference::Conv1dRef::new(weight.clone(), bias);
+        let want_y = reference.forward(&x);
+        let (want_dx, want_dw, want_db) = reference.backward(&x, &g);
+        let pad = (kernel - 1) / 2;
+        let tap_size = cin * cout;
+        let hull = (pad + 1).saturating_sub(seq) * tap_size..kernel.min(pad + seq) * tap_size;
         for workers in WORKER_COUNTS {
             let cfg = ExecConfig { workers, force_parallel: true };
             with_exec(cfg, || -> Result<(), proptest::test_runner::TestCaseError> {
-                let mut conv = Conv1d::new(cin, cout, kernel, &mut SeededRng::new(97));
-                let want_y = conv.forward_reference(&x);
+                let mut conv = new_conv();
+                conv.params_mut()[0].value = weight.clone();
                 let y = conv.forward(&x, Mode::Train);
-                prop_assert_eq!(bits(&y), bits(&want_y),
-                    "conv fwd b={} t={} cin={} cout={} k={} @ {}",
-                    batch, seq, cin, cout, kernel, workers);
-                let g = random_tensor(y.shape().to_vec(), &mut SeededRng::new(seed ^ 0xC0))
-                ;
-                let (want_dx, want_dw, want_db) = conv.backward_reference(&x, &g);
+                prop_assert!(same_nan_positions_and_bits(y.as_slice(), want_y.as_slice()),
+                    "conv fwd b={} t={} cin={} cout={} k={} poison {:?} @ {}",
+                    batch, seq, cin, cout, kernel, poison, workers);
                 conv.zero_grad();
                 let dx = conv.backward(&g);
-                prop_assert_eq!(bits(&dx), bits(&want_dx), "conv dx @ {}", workers);
+                prop_assert!(same_nan_positions_and_bits(dx.as_slice(), want_dx.as_slice()),
+                    "conv dx poison {:?} @ {}", poison, workers);
                 let params = conv.params_mut();
-                let got: Vec<Vec<u32>> =
-                    params.iter().map(|p| raw_bits(p.grad().as_slice())).collect();
-                prop_assert_eq!(got, vec![bits(&want_dw), bits(&want_db)],
-                    "conv grads @ {}", workers);
+                prop_assert!(
+                    same_nan_positions_and_bits(params[0].grad().as_slice(), want_dw.as_slice()),
+                    "conv dW poison {:?} @ {}", poison, workers);
+                prop_assert!(
+                    same_nan_positions_and_bits(params[1].grad().as_slice(), want_db.as_slice()),
+                    "conv db poison {:?} @ {}", poison, workers);
+                prop_assert_eq!(params[0].written(), hull.clone(), "conv dW hull @ {}", workers);
                 Ok(())
             })?;
         }

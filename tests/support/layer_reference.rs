@@ -1,9 +1,10 @@
-//! Reference elementwise layers: the `BatchNorm`, `Dropout`, `Activation`
-//! and `MaxPool1d` forward and backward passes as they ran before each
-//! became one zipped, branch-free pass per tensor. Each struct holds the
-//! state its layer holds, under public fields where a test sets or reads
-//! it. `tests/kernel_equivalence.rs` checks the layers against them bit
-//! for bit. Nothing outside tests uses them.
+//! Reference layers: the `BatchNorm`, `Dropout`, `Activation` and
+//! `MaxPool1d` forward and backward passes as they ran before each became
+//! one zipped, branch-free pass per tensor, and the seed `Conv1d`, one
+//! gather + tensor product + scatter-add per kernel tap. Each struct holds
+//! the state its layer holds, under public fields where a test sets or
+//! reads it. `tests/kernel_equivalence.rs` checks the layers against them
+//! bit for bit. Nothing outside tests uses them.
 //!
 //! One line differs from the old code on purpose: `MaxPool1dRef` starts
 //! each window's `best_idx` at the window's first element, not at element
@@ -314,5 +315,130 @@ impl MaxPool1dRef {
             dx.as_mut_slice()[idx] += g;
         }
         dx
+    }
+}
+
+/// The seed `Conv1d` over the weight `[kernel, c_in, c_out]` and bias
+/// `[c_out]` it is given: per kernel tap, gather the input rows the tap
+/// reads, one tensor product with the tap's `[c_in, c_out]` slab, and a
+/// scatter-add onto the output rows, in ascending tap order.
+pub struct Conv1dRef {
+    weight: Tensor,
+    bias: Tensor,
+    kernel: usize,
+    in_channels: usize,
+    out_channels: usize,
+}
+
+impl Conv1dRef {
+    pub fn new(weight: Tensor, bias: Tensor) -> Self {
+        let [kernel, in_channels, out_channels] = weight.shape() else {
+            panic!("conv weight must be [kernel, c_in, c_out]");
+        };
+        let (kernel, in_channels, out_channels) = (*kernel, *in_channels, *out_channels);
+        Self {
+            weight,
+            bias,
+            kernel,
+            in_channels,
+            out_channels,
+        }
+    }
+
+    fn pad_left(&self) -> isize {
+        ((self.kernel - 1) / 2) as isize
+    }
+
+    fn weight_tap(&self, k: usize) -> Tensor {
+        let size = self.in_channels * self.out_channels;
+        let data = self.weight.as_slice()[k * size..(k + 1) * size].to_vec();
+        Tensor::from_vec(vec![self.in_channels, self.out_channels], data).expect("tap shape")
+    }
+
+    pub fn forward(&self, input: &Tensor) -> Tensor {
+        let (b, t, c) = btc(input.shape());
+        assert_eq!(c, self.in_channels, "conv1d channel mismatch");
+        let rank3 = input.reshape(vec![b, t, c]).expect("conv input promote");
+        let pad = self.pad_left();
+        let flat_in = rank3.reshape(vec![b * t, c]).expect("conv flatten");
+        let mut out = Tensor::zeros(vec![b * t, self.out_channels]);
+        for k in 0..self.kernel {
+            let shift = k as isize - pad;
+            let t_lo = (-shift).max(0) as usize;
+            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
+            if t_lo >= t_hi {
+                continue;
+            }
+            let mut in_rows = Vec::with_capacity(b * (t_hi - t_lo));
+            let mut out_rows = Vec::with_capacity(b * (t_hi - t_lo));
+            for bi in 0..b {
+                for to in t_lo..t_hi {
+                    in_rows.push(bi * t + (to as isize + shift) as usize);
+                    out_rows.push(bi * t + to);
+                }
+            }
+            let xs = flat_in.gather_rows(&in_rows);
+            let tap = self.weight_tap(k);
+            let contrib = xs.matmul(&tap).expect("conv tap matmul");
+            let cw = self.out_channels;
+            for (ri, &ro) in out_rows.iter().enumerate() {
+                let src = &contrib.as_slice()[ri * cw..(ri + 1) * cw];
+                let dst = &mut out.as_mut_slice()[ro * cw..(ro + 1) * cw];
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        }
+        out.add_row_bias(&self.bias).expect("conv bias");
+        out.reshape(vec![b, t, self.out_channels])
+            .expect("conv out")
+    }
+
+    /// Returns `(dx, dweight, dbias)`.
+    pub fn backward(&self, input: &Tensor, grad_out: &Tensor) -> (Tensor, Tensor, Tensor) {
+        let (b, t, c) = btc(input.shape());
+        let pad = self.pad_left();
+        let flat_in = input.reshape(vec![b * t, c]).expect("conv flatten");
+        let dy = grad_out
+            .reshape(vec![b * t, self.out_channels])
+            .expect("conv grad flatten");
+        let db = dy.sum_axis0().expect("conv db");
+        let mut dweight = Tensor::zeros(self.weight.shape().to_vec());
+        let mut dx = Tensor::zeros(vec![b * t, c]);
+        let tap_size = self.in_channels * self.out_channels;
+        for k in 0..self.kernel {
+            let shift = k as isize - pad;
+            let t_lo = (-shift).max(0) as usize;
+            let t_hi = ((t as isize - shift).min(t as isize)).max(0) as usize;
+            if t_lo >= t_hi {
+                continue;
+            }
+            let mut in_rows = Vec::with_capacity(b * (t_hi - t_lo));
+            let mut out_rows = Vec::with_capacity(b * (t_hi - t_lo));
+            for bi in 0..b {
+                for to in t_lo..t_hi {
+                    in_rows.push(bi * t + (to as isize + shift) as usize);
+                    out_rows.push(bi * t + to);
+                }
+            }
+            let xs = flat_in.gather_rows(&in_rows);
+            let dys = dy.gather_rows(&out_rows);
+            let dtap = xs.matmul_at(&dys).expect("conv dW");
+            let dst = &mut dweight.as_mut_slice()[k * tap_size..(k + 1) * tap_size];
+            for (d, &s) in dst.iter_mut().zip(dtap.as_slice()) {
+                *d += s;
+            }
+            let tap = self.weight_tap(k);
+            let dxs = dys.matmul_bt(&tap).expect("conv dX");
+            for (ri, &row) in in_rows.iter().enumerate() {
+                let src = &dxs.as_slice()[ri * c..(ri + 1) * c];
+                let dst = &mut dx.as_mut_slice()[row * c..(row + 1) * c];
+                for (d, &s) in dst.iter_mut().zip(src) {
+                    *d += s;
+                }
+            }
+        }
+        let dx = dx.reshape(input.shape().to_vec()).expect("conv dx shape");
+        (dx, dweight, db)
     }
 }
