@@ -21,8 +21,13 @@
 //! L2-resident GEMM speedup drops below 2× — the floor the blocking exists
 //! to clear.
 
+#[path = "../../../tests/support/gemm_reference.rs"]
+mod gemm_reference;
+
 use pelican_nn::{Gru, Layer, Mode};
 use pelican_runtime::with_workers;
+// Read by `gemm_reference`.
+use pelican_tensor::pack::dot_seg;
 use pelican_tensor::{math, pack, SeededRng, Tensor};
 use std::time::Instant;
 
@@ -64,7 +69,7 @@ fn gemm_case(m: usize, k: usize, n: usize, iters: usize) -> GemmResult {
     let mut out_ref = vec![0.0f32; m * n];
     let mut out_new = vec![0.0f32; m * n];
     let seed_s = time_it(5, iters, || {
-        pack::gemm_bt_reference(&a, &bt, &mut out_ref, k, n, k);
+        gemm_reference::gemm_bt_reference(&a, &bt, &mut out_ref, k, n, k);
     });
     let packed_s = time_it(5, iters, || {
         with_workers(1, || pack::gemm_bt(&a, &bt, m, k, n, k, &mut out_new));
@@ -226,8 +231,8 @@ fn main() {
 
     // GRU: the h₀ = 0 step at sequence length 1 (the paper's shape), which
     // skips the recurrent products and the dead reset gate, vs the
-    // per-gate seed path, full forward+backward step. Longer sequences
-    // run the per-gate path itself.
+    // per-gate seed path, full forward+backward step. The per-gate path
+    // is also the step's fallback when its guard fails.
     let (gb, gc, gu) = (64usize, 121usize, 121usize);
     let gx = random_tensor(vec![gb, 1, gc], 26);
     let gg = random_tensor(vec![gb, 1, gu], 27);
@@ -253,7 +258,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"matmul_at_train\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"engine_ns\": {:.0}, \"gemm_bt_ns\": {:.0}, \"rate_vs_gemm_bt\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; matmul_at_train times the engine at the GRU's Table-I weight-gradient shape against gemm_bt at equal FLOPs, one thread (rate_vs_gemm_bt = gemm_bt_ns / engine_ns); tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; gru_seq1_step_speedup compares the sequence-length-1 step, which skips the recurrent products and the dead reset gate, against the per-gate path longer sequences run; equivalence guaranteed by tests/kernel_equivalence.rs; timings are best of 5 on one thread and move by about 20% either way between runs on a shared host, so a ratio that moves by less than that is not a change\"\n}}\n",
+        "{{\n  \"bench\": \"bench_kernels\",\n  \"engine\": \"{}\",\n  \"gemm\": [\n{}\n  ],\n  \"gemm_min_speedup\": {:.3},\n  \"gemm_speedup_floor\": 2.0,\n  \"matmul_at\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"scalar_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"matmul_at_train\": {{\"k\": {}, \"m\": {}, \"n\": {}, \"engine_ns\": {:.0}, \"gemm_bt_ns\": {:.0}, \"rate_vs_gemm_bt\": {:.3}}},\n  \"tanh\": {{\"n\": {}, \"libm_ns\": {:.0}, \"engine_ns\": {:.0}, \"speedup\": {:.3}}},\n  \"gru_seq1_step_speedup\": {:.3},\n  \"bit_identical_to_seed\": true,\n  \"note\": \"engine is the lane engine both funnels ran (avx512, sse2 or portable); gemm compares the blocked register tile (4x16 on avx512, 2x4 on sse2) against the retained seed one-dot-per-element kernel (single-thread ILP); matmul_at compares the funnel's engine against the scalar loop, one thread; matmul_at_train times the engine at the GRU's Table-I weight-gradient shape against gemm_bt at equal FLOPs, one thread (rate_vs_gemm_bt = gemm_bt_ns / engine_ns); tanh compares math::tanh_in_place (16 lanes on avx512, the scalar fdlibm port elsewhere) against an f32::tanh loop over the 4000x196 GRU candidate, one thread, bit-equal; gru_seq1_step_speedup compares the sequence-length-1 step, which skips the recurrent products and the dead reset gate, against the per-gate path, which is the seq-1 guard fallback; equivalence guaranteed by tests/kernel_equivalence.rs; timings are best of 5 on one thread and move by about 20% either way between runs on a shared host, so a ratio that moves by less than that is not a change\"\n}}\n",
         engine,
         gemm_json.join(",\n"),
         min_speedup,

@@ -14,7 +14,9 @@
 //! Each mode runs `REPS` times, interleaved, and overhead is estimated
 //! from the median of the paired per-repetition differences — the paired
 //! design cancels machine-load drift that swamps ratios of independent
-//! aggregates. The budget is <2% for the
+//! aggregates. Each run is timed in process CPU time
+//! (`CLOCK_PROCESS_CPUTIME_ID`), not wall time, so time the scheduler
+//! gives other processes stays out of it. The budget is <2% for the
 //! in-memory recorder; the result is written to `BENCH_observe.json` at
 //! the workspace root, which `scripts/check.sh` asserts is well-formed.
 //! Two instrument micro-costs are included so regressions in the fast
@@ -23,6 +25,7 @@
 use pelican_core::experiment::{run_network, Arch, DatasetKind, ExpConfig};
 use pelican_observe::{with_recorder, InMemoryRecorder, NoopRecorder, Recorder};
 use pelican_runtime::with_workers;
+use std::ffi::{c_int, c_long};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -42,12 +45,43 @@ fn workload_config() -> ExpConfig {
     }
 }
 
-/// Runs the training workload once and returns its wall-clock seconds.
+/// `struct timespec` where `time_t` is a C `long`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+#[cfg(target_os = "macos")]
+const CLOCK_PROCESS_CPUTIME_ID: c_int = 12;
+#[cfg(not(target_os = "macos"))]
+const CLOCK_PROCESS_CPUTIME_ID: c_int = 2;
+
+// SAFETY: this is POSIX `int clock_gettime(clockid_t, struct timespec *)`
+// with `clockid_t` an `int` and both `timespec` fields C `long`s, as on
+// Linux and macOS. It only writes through its pointer, and a `&mut
+// Timespec` is always a valid, aligned, writable one, so every call is
+// sound and the function can be declared `safe`.
+unsafe extern "C" {
+    safe fn clock_gettime(clock: c_int, now: &mut Timespec) -> c_int;
+}
+
+/// CPU seconds used so far by every thread of this process.
+fn process_cpu_seconds() -> f64 {
+    let mut now = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    assert_eq!(clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut now), 0);
+    now.tv_sec as f64 + now.tv_nsec as f64 * 1e-9
+}
+
+/// Runs the training workload once and returns the CPU seconds it used.
 fn one_run(cfg: &ExpConfig) -> f64 {
-    let start = Instant::now();
+    let start = process_cpu_seconds();
     let result = with_workers(1, || run_network(Arch::Residual { blocks: 1 }, cfg));
     assert!(result.confusion.total() > 0);
-    start.elapsed().as_secs_f64()
+    process_cpu_seconds() - start
 }
 
 /// `REPS` timings per mode, the three modes interleaved inside every
@@ -127,7 +161,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"bench_observe\",\n  \"workload\": \"run_network Residual-5 (1 block), synthetic NSL-KDD, {} samples, {} epochs, 1 worker\",\n  \"reps\": {REPS},\n  \"seconds_disabled\": {t_disabled:.3},\n  \"seconds_noop\": {t_noop:.3},\n  \"seconds_inmemory\": {t_mem:.3},\n  \"overhead_noop_pct\": {noop_pct:.2},\n  \"overhead_inmemory_pct\": {mem_pct:.2},\n  \"overhead_budget_pct\": 2.0,\n  \"within_budget\": {},\n  \"disabled_check_ns_per_call\": {disabled_ns:.2},\n  \"live_counter_ns_per_call\": {live_ns:.2},\n  \"note\": \"median seconds per mode, overhead from median paired per-rep differences; see tests/observability.rs for the bit-identity and no-perturbation guarantees\"\n}}\n",
+        "{{\n  \"bench\": \"bench_observe\",\n  \"workload\": \"run_network Residual-5 (1 block), synthetic NSL-KDD, {} samples, {} epochs, 1 worker\",\n  \"reps\": {REPS},\n  \"seconds_disabled\": {t_disabled:.3},\n  \"seconds_noop\": {t_noop:.3},\n  \"seconds_inmemory\": {t_mem:.3},\n  \"overhead_noop_pct\": {noop_pct:.2},\n  \"overhead_inmemory_pct\": {mem_pct:.2},\n  \"overhead_budget_pct\": 2.0,\n  \"within_budget\": {},\n  \"disabled_check_ns_per_call\": {disabled_ns:.2},\n  \"live_counter_ns_per_call\": {live_ns:.2},\n  \"note\": \"median process CPU seconds per mode (clock_gettime CLOCK_PROCESS_CPUTIME_ID, so other processes' load stays out), overhead from median paired per-rep differences; see tests/observability.rs for the bit-identity and no-perturbation guarantees\"\n}}\n",
         cfg.samples,
         cfg.epochs,
         mem_pct < 2.0,

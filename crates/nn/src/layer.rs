@@ -26,8 +26,8 @@ pub trait Layer: Send {
     /// Computes the layer output for `input`.
     ///
     /// Tensor layout conventions: rank-2 `[batch, features]` for dense-style
-    /// layers, rank-3 `[batch, time, channels]` for convolutional/recurrent
-    /// layers.
+    /// layers, rank-3 `[batch, 1, channels]` for convolutional/recurrent
+    /// layers, which take the paper's one time step only.
     ///
     /// # Panics
     ///

@@ -1,6 +1,5 @@
 //! Batch normalisation.
 
-use super::btc;
 use crate::{Layer, Mode, Param};
 use pelican_tensor::Tensor;
 
@@ -103,8 +102,12 @@ impl Layer for BatchNorm {
     /// before. Eval mode is one pass with `√(var + eps)` taken once per
     /// channel.
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (b, t, c) = btc(input.shape());
-        assert_eq!(c, self.channels(), "batchnorm channel mismatch");
+        let c = self.channels();
+        assert!(
+            matches!(input.shape(), [_, w] | [_, _, w] if *w == c),
+            "batchnorm channel mismatch: {:?} for {c} channels",
+            input.shape()
+        );
         let x = input.as_slice();
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
@@ -112,7 +115,7 @@ impl Layer for BatchNorm {
 
         match mode {
             Mode::Train => {
-                let m = (b * t).max(1) as f32;
+                let m = (x.len() / c).max(1) as f32;
                 let mut mean = vec![0.0f32; c];
                 for row in x.chunks_exact(c) {
                     for (s, &v) in mean.iter_mut().zip(row) {
@@ -199,8 +202,7 @@ impl Layer for BatchNorm {
             .as_ref()
             .expect("batchnorm backward requires a training-mode forward");
         let c = self.channels();
-        let (b, t, _) = btc(&cache.input_shape);
-        let m = (b * t) as f32;
+        let m = (cache.xhat.len() / c) as f32;
         let dy = grad_out.as_slice();
         assert_eq!(dy.len(), cache.xhat.len(), "bn grad length");
 

@@ -1,12 +1,13 @@
 //! Gated recurrent unit.
 
-use super::{add_col_sums, btc};
+use super::{add_col_sums, seq1};
 use crate::{ActivationKind, Layer, Mode, Param};
 use pelican_tensor::workspace;
 use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 
-/// Gated recurrent unit over `[batch, time, channels]`, returning the full
-/// hidden-state sequence (`return_sequences=True`).
+/// Gated recurrent unit over `[batch, 1, channels]` (or `[batch,
+/// channels]`), returning the hidden-state sequence `[batch, 1, units]`
+/// (`return_sequences=True`).
 ///
 /// "GRU is a recurrent network that can extract the temporal features of
 /// the input data through a recurrent process … an activation function and
@@ -22,17 +23,7 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 /// h_t = z_t ⊙ h_{t-1} + (1 − z_t) ⊙ h̃_t
 /// ```
 ///
-/// # Any sequence length
-///
-/// Every sequence runs the per-gate step ([`Gru::forward_reference`] /
-/// [`Gru::reference_fwd_bwd`]) unless the sequence-length-1 step below
-/// applies: three gate products per time step with tensor-op element
-/// math, then backpropagation through time from the last step to the
-/// first, each step's nine parameter-gradient products adding into the
-/// gradients as it finishes. The same code is the oracle the
-/// sequence-length-1 step is checked against bit for bit.
-///
-/// # Sequence length 1
+/// # The step from h₀ = 0
 ///
 /// The paper feeds every GRU one time step, so the only hidden state it
 /// sees is h₀ = 0. There every recurrent product is `+0.0` and the reset
@@ -43,8 +34,12 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 /// `[dz | dh̃]·[Wz | Wh]ᵀ` product and `dW` as `xᵀ·[dz | dh̃]`.
 /// Each skip is taken only when it is provably exact — all operands it
 /// drops are finite and bounded so that `r` and `da = dh̃·Uhᵀ` stay finite
-/// — and the per-gate step runs otherwise, so NaN and ±Inf propagate
-/// exactly as in the reference. The forward's packed `[Wz | Wh]` panel
+/// — and the per-gate step ([`Gru::forward_reference`] /
+/// [`Gru::reference_fwd_bwd`]) runs otherwise: three gate products and
+/// every recurrent product from h₀ with tensor-op element math, then the
+/// nine parameter-gradient products, so NaN and ±Inf propagate exactly as
+/// in the reference. That step is also the oracle the fast step is checked
+/// against bit for bit. The forward's packed `[Wz | Wh]` panel
 /// and the weight half of its guard are rebuilt only after
 /// [`Layer::params_mut`] (the one way to reach a `&mut Param`), and a
 /// [`Mode::Eval`] forward keeps no backward cache.
@@ -55,8 +50,8 @@ use pelican_tensor::{math, pack, Init, SeededRng, Tensor};
 ///
 /// let mut rng = SeededRng::new(0);
 /// let mut gru = Gru::new(4, 4, &mut rng);
-/// let y = gru.forward(&Tensor::zeros(vec![2, 3, 4]), Mode::Train);
-/// assert_eq!(y.shape(), &[2, 3, 4]);
+/// let y = gru.forward(&Tensor::zeros(vec![2, 1, 4]), Mode::Train);
+/// assert_eq!(y.shape(), &[2, 1, 4]);
 /// ```
 #[derive(Debug)]
 pub struct Gru {
@@ -76,15 +71,19 @@ pub struct Gru {
     units: usize,
     cache: Option<GruCache>,
     input_shape: Option<Vec<usize>>,
-    scratch: GruScratch,
+    /// `[Wz | Wh]` column-concatenated, `[in, 2·units]`: the panel of the
+    /// sequence-length-1 backward's `dx` product. Refilled from the live
+    /// weights on every call (the optimizer moves them); only its
+    /// capacity is kept.
+    w_cat: Vec<f32>,
     seq1: Seq1Panel,
 }
 
 /// What `backward` needs from the last [`Mode::Train`] forward.
 #[derive(Debug)]
 enum GruCache {
-    /// The per-gate step, one entry per time step.
-    Steps(Vec<StepCache>),
+    /// The per-gate step.
+    Step(Box<StepCache>),
     /// The sequence-length-1 step from h₀ = 0: the reset gate and the
     /// recurrent products were skipped, so only the input and
     /// `zh[bi·2u ..] = [z_pre | h̃]` survive; the backward recomputes
@@ -103,18 +102,8 @@ struct StepCache {
     r_pre: Tensor,
 }
 
-/// A grow-only packed-weight buffer, retained across calls. Weight
-/// *values* are refilled from the live parameters on every call (the
-/// optimizer moves them between calls) — only capacity is cached.
-#[derive(Debug, Default)]
-struct GruScratch {
-    /// `[Wz | Wh]` column-concatenated: `[in, 2·units]` — the panel layout
-    /// of the sequence-length-1 backward `dx` product's transposed weight.
-    w_cat: Vec<f32>,
-}
-
 /// The sequence-length-1 forward's weight-derived state. Unlike
-/// [`GruScratch`] it caches *values*, so a served model packs and scans
+/// `w_cat` it caches *values*, so a served model packs and scans
 /// its weights once: [`Layer::params_mut`], the one way to reach a
 /// `&mut Param`, marks it stale.
 #[derive(Debug, Default)]
@@ -229,7 +218,7 @@ impl Gru {
             units,
             cache: None,
             input_shape: None,
-            scratch: GruScratch::default(),
+            w_cat: Vec::new(),
             seq1: Seq1Panel::default(),
         }
     }
@@ -243,11 +232,11 @@ impl Gru {
         pre
     }
 
-    /// The per-gate forward: three separate gate products per step,
-    /// tensor-op elementwise math. [`Layer::forward`] runs it for every
-    /// sequence the sequence-length-1 step does not take, and it is the
-    /// reference that step is proptested bit-identical against and the
-    /// baseline `bench_kernels` times.
+    /// The per-gate forward: three separate gate products from h₀ = 0,
+    /// tensor-op elementwise math. [`Layer::forward`] runs it when the
+    /// sequence-length-1 step's guard fails, and it is the reference that
+    /// step is proptested bit-identical against and the baseline
+    /// `bench_kernels` times.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         self.reference_forward_with_cache(input).0
     }
@@ -260,9 +249,8 @@ impl Gru {
         input: &Tensor,
         grad_out: &Tensor,
     ) -> (Tensor, Tensor, Vec<Tensor>) {
-        let (y, cache) = self.reference_forward_with_cache(input);
-        let (b, _, c) = btc(input.shape());
-        let u = self.units;
+        let (y, step) = self.reference_forward_with_cache(input);
+        let (c, u) = (self.in_channels, self.units);
         let mut grads: Vec<Tensor> = vec![
             Tensor::zeros(vec![c, u]),
             Tensor::zeros(vec![c, u]),
@@ -274,148 +262,107 @@ impl Gru {
             Tensor::zeros(vec![u]),
             Tensor::zeros(vec![u]),
         ];
-        let dx = self.backward_cached(&cache, grad_out, b, &mut grads);
+        let dx = self.backward_cached(&step, grad_out, &mut grads);
         let dx = dx.into_shape(input.shape().to_vec()).expect("gru dx shape");
         (y, dx, grads)
     }
 
-    /// Backpropagation through the per-gate steps of `cache`, from the
-    /// last step to the first: returns `dx` as `[b·t, in]` and adds each
-    /// step's nine parameter-gradient products into `grads`
-    /// ([`Layer::params_mut`] order) as that step finishes.
-    fn backward_cached(
-        &self,
-        cache: &[StepCache],
-        grad_out: &Tensor,
-        b: usize,
-        grads: &mut [Tensor],
-    ) -> Tensor {
-        let (t, c, u) = (cache.len(), self.in_channels, self.units);
-        let dy = grad_out.reshape(vec![b * t, u]).expect("gru grad flatten");
-        let mut dx = Tensor::zeros(vec![b * t, c]);
-        let mut dh_carry = Tensor::zeros(vec![b, u]);
-        for ti in (0..t).rev() {
-            let step = &cache[ti];
-            let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
-            let mut dh = dy.gather_rows(&rows);
-            dh.add_assign(&dh_carry).expect("dh carry");
+    /// Backpropagation through the per-gate step: returns `dx` as
+    /// `[b, in]` and adds the nine parameter-gradient products into
+    /// `grads` ([`Layer::params_mut`] order). The gradient into h₀ is
+    /// never formed: nothing reads it.
+    fn backward_cached(&self, step: &StepCache, grad_out: &Tensor, grads: &mut [Tensor]) -> Tensor {
+        let shape = vec![step.x.shape()[0], self.units];
+        // `+ 0.0` is the zero carry from a later step, which turns −0.0
+        // into +0.0.
+        let dh = grad_out
+            .reshape(shape)
+            .expect("gru grad flatten")
+            .map(|g| g + 0.0);
 
-            let dz = dh
-                .zip_map(&step.h_prev, |g, hp| g * hp)
-                .expect("dz a")
-                .zip_map(
-                    &dh.zip_map(&step.hh, |g, hv| g * hv).expect("dz b"),
-                    |a, b| a - b,
-                )
-                .expect("dz");
-            let dhh = dh.zip_map(&step.z, |g, zv| g * (1.0 - zv)).expect("dhh");
-            let mut dh_prev = dh.zip_map(&step.z, |g, zv| g * zv).expect("dh_prev direct");
+        let dz = dh
+            .zip_map(&step.h_prev, |g, hp| g * hp)
+            .expect("dz a")
+            .zip_map(
+                &dh.zip_map(&step.hh, |g, hv| g * hv).expect("dz b"),
+                |a, b| a - b,
+            )
+            .expect("dz");
+        let dhh = dh.zip_map(&step.z, |g, zv| g * (1.0 - zv)).expect("dhh");
 
-            let dhh_pre = step
-                .hh
-                .zip_map(&dhh, |hv, g| g * (1.0 - hv * hv))
-                .expect("dhh_pre");
-            let da = dhh_pre.matmul_bt(&self.whh.value).expect("da");
-            let dr = da.zip_map(&step.h_prev, |g, hp| g * hp).expect("dr");
-            dh_prev
-                .add_assign(&da.zip_map(&step.r, |g, rv| g * rv).expect("dh via a"))
-                .expect("dh_prev accum");
+        let dhh_pre = step
+            .hh
+            .zip_map(&dhh, |hv, g| g * (1.0 - hv * hv))
+            .expect("dhh_pre");
+        let da = dhh_pre.matmul_bt(&self.whh.value).expect("da");
+        let dr = da.zip_map(&step.h_prev, |g, hp| g * hp).expect("dr");
 
-            let dz_pre = act_grad(&step.z_pre, &dz, ActivationKind::HardSigmoid);
-            let dr_pre = act_grad(&step.r_pre, &dr, ActivationKind::HardSigmoid);
+        let dz_pre = act_grad(&step.z_pre, &dz, ActivationKind::HardSigmoid);
+        let dr_pre = act_grad(&step.r_pre, &dr, ActivationKind::HardSigmoid);
 
-            dh_prev
-                .add_assign(&dz_pre.matmul_bt(&self.whz.value).expect("dh via Uz"))
-                .expect("dh_prev z");
-            dh_prev
-                .add_assign(&dr_pre.matmul_bt(&self.whr.value).expect("dh via Ur"))
-                .expect("dh_prev r");
+        let mut dx = dz_pre.matmul_bt(&self.wxz.value).expect("dx z");
+        dx.add_assign(&dr_pre.matmul_bt(&self.wxr.value).expect("dx r"))
+            .expect("dx r add");
+        dx.add_assign(&dhh_pre.matmul_bt(&self.wxh.value).expect("dx h"))
+            .expect("dx h add");
 
-            let mut dxt = dz_pre.matmul_bt(&self.wxz.value).expect("dx z");
-            dxt.add_assign(&dr_pre.matmul_bt(&self.wxr.value).expect("dx r"))
-                .expect("dx r add");
-            dxt.add_assign(&dhh_pre.matmul_bt(&self.wxh.value).expect("dx h"))
-                .expect("dx h add");
-            for (bi, &row) in rows.iter().enumerate() {
-                let src = &dxt.as_slice()[bi * c..(bi + 1) * c];
-                let dst = &mut dx.as_mut_slice()[row * c..(row + 1) * c];
-                dst.copy_from_slice(src);
-            }
-
-            let rh = step
-                .r
-                .zip_map(&step.h_prev, |a, b| a * b)
-                .expect("r⊙h recompute");
-            let mut acc = |idx: usize, g: Tensor| {
-                grads[idx].add_assign(&g).expect("param grad shape");
-            };
-            acc(0, step.x.matmul_at(&dz_pre).expect("dWz"));
-            acc(1, step.x.matmul_at(&dr_pre).expect("dWr"));
-            acc(2, step.x.matmul_at(&dhh_pre).expect("dWh"));
-            acc(3, step.h_prev.matmul_at(&dz_pre).expect("dUz"));
-            acc(4, step.h_prev.matmul_at(&dr_pre).expect("dUr"));
-            acc(5, rh.matmul_at(&dhh_pre).expect("dUh"));
-            acc(6, dz_pre.sum_axis0().expect("dbz"));
-            acc(7, dr_pre.sum_axis0().expect("dbr"));
-            acc(8, dhh_pre.sum_axis0().expect("dbh"));
-
-            dh_carry = dh_prev;
-        }
+        let rh = step
+            .r
+            .zip_map(&step.h_prev, |a, b| a * b)
+            .expect("r⊙h recompute");
+        let mut acc = |idx: usize, g: Tensor| {
+            grads[idx].add_assign(&g).expect("param grad shape");
+        };
+        acc(0, step.x.matmul_at(&dz_pre).expect("dWz"));
+        acc(1, step.x.matmul_at(&dr_pre).expect("dWr"));
+        acc(2, step.x.matmul_at(&dhh_pre).expect("dWh"));
+        acc(3, step.h_prev.matmul_at(&dz_pre).expect("dUz"));
+        acc(4, step.h_prev.matmul_at(&dr_pre).expect("dUr"));
+        acc(5, rh.matmul_at(&dhh_pre).expect("dUh"));
+        acc(6, dz_pre.sum_axis0().expect("dbz"));
+        acc(7, dr_pre.sum_axis0().expect("dbr"));
+        acc(8, dhh_pre.sum_axis0().expect("dbh"));
         dx
     }
 
-    fn reference_forward_with_cache(&self, input: &Tensor) -> (Tensor, Vec<StepCache>) {
-        let (b, t, c) = btc(input.shape());
+    fn reference_forward_with_cache(&self, input: &Tensor) -> (Tensor, StepCache) {
+        let (b, c) = seq1(input.shape());
         assert_eq!(c, self.in_channels, "gru channel mismatch");
-        let flat = input.reshape(vec![b * t, c]).expect("gru flatten");
+        let x = input.reshape(vec![b, c]).expect("gru flatten");
         let u = self.units;
+        let h = Tensor::zeros(vec![b, u]);
 
-        let mut h = Tensor::zeros(vec![b, u]);
-        let mut cache = Vec::with_capacity(t);
-        let mut out = Tensor::zeros(vec![b, t, u]);
-        for ti in 0..t {
-            let rows: Vec<usize> = (0..b).map(|bi| bi * t + ti).collect();
-            let x = flat.gather_rows(&rows);
+        let z_pre = Self::gate_pre(&x, &h, &self.wxz.value, &self.whz.value, &self.bz.value);
+        let r_pre = Self::gate_pre(&x, &h, &self.wxr.value, &self.whr.value, &self.br.value);
+        let z = act(&z_pre, ActivationKind::HardSigmoid);
+        let r = act(&r_pre, ActivationKind::HardSigmoid);
 
-            let z_pre = Self::gate_pre(&x, &h, &self.wxz.value, &self.whz.value, &self.bz.value);
-            let r_pre = Self::gate_pre(&x, &h, &self.wxr.value, &self.whr.value, &self.br.value);
-            let z = act(&z_pre, ActivationKind::HardSigmoid);
-            let r = act(&r_pre, ActivationKind::HardSigmoid);
+        let rh = r.zip_map(&h, |a, b| a * b).expect("r⊙h");
+        let mut hh_pre = x.matmul(&self.wxh.value).expect("x·Wh");
+        let ruh = rh.matmul(&self.whh.value).expect("(r⊙h)·Uh");
+        hh_pre.add_assign(&ruh).expect("hh add");
+        hh_pre.add_row_bias(&self.bh.value).expect("hh bias");
+        let hh = act(&hh_pre, ActivationKind::Tanh);
 
-            let rh = r.zip_map(&h, |a, b| a * b).expect("r⊙h");
-            let mut hh_pre = x.matmul(&self.wxh.value).expect("x·Wh");
-            let ruh = rh.matmul(&self.whh.value).expect("(r⊙h)·Uh");
-            hh_pre.add_assign(&ruh).expect("hh add");
-            hh_pre.add_row_bias(&self.bh.value).expect("hh bias");
-            let hh = act(&hh_pre, ActivationKind::Tanh);
-
-            let h_new = z
-                .zip_map(&h, |zv, hv| zv * hv)
-                .expect("z⊙h")
-                .zip_map(
-                    &z.zip_map(&hh, |zv, hv| (1.0 - zv) * hv).expect("(1-z)⊙hh"),
-                    |a, c| a + c,
-                )
-                .expect("h update");
-
-            for bi in 0..b {
-                let src = &h_new.as_slice()[bi * u..(bi + 1) * u];
-                let dst = &mut out.as_mut_slice()[(bi * t + ti) * u..(bi * t + ti + 1) * u];
-                dst.copy_from_slice(src);
-            }
-
-            cache.push(StepCache {
-                x,
-                h_prev: h,
-                z,
-                r,
-                hh,
-                z_pre,
-                r_pre,
-            });
-            h = h_new;
-        }
-        (out, cache)
+        let h_new = z
+            .zip_map(&h, |zv, hv| zv * hv)
+            .expect("z⊙h")
+            .zip_map(
+                &z.zip_map(&hh, |zv, hv| (1.0 - zv) * hv).expect("(1-z)⊙hh"),
+                |a, c| a + c,
+            )
+            .expect("h update");
+        let out = h_new.into_shape(vec![b, 1, u]).expect("gru output");
+        let step = StepCache {
+            x,
+            h_prev: h,
+            z,
+            r,
+            hh,
+            z_pre,
+            r_pre,
+        };
+        (out, step)
     }
 
     /// The forward guard of the sequence-length-1 step. With `Uz`, `Ur`,
@@ -487,9 +434,9 @@ impl Gru {
     /// `Uh` finite and bounded, `Wr` finite) `dr` is `±0`: its `dx`
     /// segment adds exactly `+0.0` (`dot_seg` never returns `-0.0`) and
     /// its `dWr`/`dbr` terms are `+0.0`, so neither `da` nor the `r` gate
-    /// is formed. `dh_prev` is never read at the first step, and
-    /// `dU = h₀ᵀ·g` is exactly `+0.0` under `matmul_at`'s zero-skip, so
-    /// neither is formed either. Returns `None`, touching no gradient,
+    /// is formed. The gradient into h₀ is never read, and `dU = h₀ᵀ·g` is
+    /// exactly `+0.0` under `matmul_at`'s zero-skip, so neither is formed
+    /// either. Returns `None`, touching no gradient,
     /// when the guard fails.
     fn backward_seq1(&mut self, x: &[f32], zh: &[f32], dy: &[f32], b: usize) -> Option<Vec<f32>> {
         let (c, u) = (self.in_channels, self.units);
@@ -526,10 +473,10 @@ impl Gru {
         // One segmented GEMM for dx (seg = units) and one matmul_at for
         // dW over [dz | dh̃].
         let (wz, wh) = (self.wxz.value.as_slice(), self.wxh.value.as_slice());
-        fit(&mut self.scratch.w_cat, c * 2 * u);
-        concat_cols(&[wz, wh], c, u, &mut self.scratch.w_cat);
+        fit(&mut self.w_cat, c * 2 * u);
+        concat_cols(&[wz, wh], c, u, &mut self.w_cat);
         let mut dx = vec![0.0f32; b * c];
-        pack::gemm_bt(&g, &self.scratch.w_cat, b, 2 * u, c, u, &mut dx);
+        pack::gemm_bt(&g, &self.w_cat, b, 2 * u, c, u, &mut dx);
         let mut dw = workspace::take(c * 2 * u);
         pack::matmul_at_into(x, &g, b, c, 2 * u, &mut dw);
         add_col_blocks(
@@ -543,14 +490,14 @@ impl Gru {
         Some(dx)
     }
 
-    /// [`Gru::backward_cached`] into the layer's gradients. The steps'
+    /// [`Gru::backward_cached`] into the layer's gradients. The step's
     /// products add into copies of the gradients, so the sums round as a
-    /// `+=` per step would also for a caller that skips `zero_grad`; they
-    /// go back through [`Param::grad_mut`], which widens every hull to the
-    /// whole tensor.
-    fn backward_steps(&mut self, steps: &[StepCache], grad_out: &Tensor, b: usize) -> Vec<f32> {
+    /// `+=` would also for a caller that skips `zero_grad`; they go back
+    /// through [`Param::grad_mut`], which widens every hull to the whole
+    /// tensor.
+    fn backward_step(&mut self, step: &StepCache, grad_out: &Tensor) -> Vec<f32> {
         let mut grads: Vec<Tensor> = self.params().iter().map(|p| p.grad().clone()).collect();
-        let dx = self.backward_cached(steps, grad_out, b, &mut grads);
+        let dx = self.backward_cached(step, grad_out, &mut grads);
         for (p, g) in self.params().into_iter().zip(&grads) {
             p.grad_mut(..).copy_from_slice(g.as_slice());
         }
@@ -587,13 +534,16 @@ fn act_grad(pre: &Tensor, g: &Tensor, k: ActivationKind) -> Tensor {
 
 impl Layer for Gru {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let (b, t, c) = btc(input.shape());
+        let (b, c) = seq1(input.shape());
         assert_eq!(c, self.in_channels, "gru channel mismatch");
-        let (out, cache) = if t == 1 && self.seq1_exact(input.as_slice()) {
+        let (out, cache) = if self.seq1_exact(input.as_slice()) {
             self.forward_seq1(input, b, mode)
         } else {
-            let (out, steps) = self.reference_forward_with_cache(input);
-            (out, (mode == Mode::Train).then_some(GruCache::Steps(steps)))
+            let (out, step) = self.reference_forward_with_cache(input);
+            (
+                out,
+                (mode == Mode::Train).then(|| GruCache::Step(Box::new(step))),
+            )
         };
         self.cache = cache;
         self.input_shape = Some(input.shape().to_vec());
@@ -603,18 +553,18 @@ impl Layer for Gru {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.take().expect("gru backward before forward");
         let shape = self.input_shape.clone().expect("gru input shape");
-        let (b, t, _) = btc(&shape);
+        let (b, _) = seq1(&shape);
         let dy = grad_out.as_slice();
-        assert_eq!(dy.len(), b * t * self.units, "gru grad length");
+        assert_eq!(dy.len(), b * self.units, "gru grad length");
         let dx = match &cache {
-            GruCache::Steps(steps) => self.backward_steps(steps, grad_out, b),
+            GruCache::Step(step) => self.backward_step(step, grad_out),
             GruCache::Seq1 { x, zh } => match self.backward_seq1(x.as_slice(), zh, dy, b) {
                 Some(dx) => dx,
                 // A skipped product may be non-finite: rerun the step on the
                 // per-gate path, which computes every product.
                 None => {
-                    let (_, steps) = self.reference_forward_with_cache(x);
-                    self.backward_steps(&steps, grad_out, b)
+                    let (_, step) = self.reference_forward_with_cache(x);
+                    self.backward_step(&step, grad_out)
                 }
             },
         };
@@ -645,8 +595,8 @@ mod tests {
     fn output_shape_returns_sequences() {
         let mut rng = SeededRng::new(0);
         let mut gru = Gru::new(3, 5, &mut rng);
-        let y = gru.forward(&Tensor::zeros(vec![2, 4, 3]), Mode::Train);
-        assert_eq!(y.shape(), &[2, 4, 5]);
+        let y = gru.forward(&Tensor::zeros(vec![2, 1, 3]), Mode::Train);
+        assert_eq!(y.shape(), &[2, 1, 5]);
     }
 
     #[test]
@@ -656,34 +606,9 @@ mod tests {
         for p in gru.params_mut() {
             p.value.fill_zero();
         }
-        let y = gru.forward(&Tensor::zeros(vec![1, 3, 2]), Mode::Train);
-        // z = hardσ(0) = 0.5, hh = tanh(0) = 0, h = 0.5·h_prev → stays 0.
+        let y = gru.forward(&Tensor::zeros(vec![1, 1, 2]), Mode::Train);
+        // z = hardσ(0) = 0.5, hh = tanh(0) = 0, h = 0.5·h₀ = 0.
         assert!(y.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn hidden_state_propagates_across_time() {
-        let mut rng = SeededRng::new(1);
-        let mut gru = Gru::new(1, 1, &mut rng);
-        // Fix the input kernel so t=0 produces a solid hidden state; with
-        // zero recurrent weights later steps decay via h_t = z·h_{t-1}.
-        for p in gru.params_mut() {
-            p.value.fill_zero();
-        }
-        gru.wxh.value = Tensor::ones(vec![1, 1]);
-        // Step input only at t=0; later outputs should still be nonzero
-        // because the hidden state carries through the update gate.
-        let x = Tensor::from_vec(vec![1, 3, 1], vec![5.0, 0.0, 0.0]).unwrap();
-        let y = gru.forward(&x, Mode::Train);
-        // h0 = (1 - 0.5)·tanh(5) ≈ 0.4999.
-        assert!((y.as_slice()[0] - 0.5 * 5.0f32.tanh()).abs() < 1e-4);
-        // h1 = z·h0 = 0.5·h0 (candidate is tanh(0) = 0).
-        assert!(
-            (y.as_slice()[1] - 0.25 * 5.0f32.tanh()).abs() < 1e-4,
-            "{y:?}"
-        );
-        // h2 = 0.5·h1.
-        assert!((y.as_slice()[2] - 0.125 * 5.0f32.tanh()).abs() < 1e-4);
     }
 
     #[test]
@@ -694,17 +619,10 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_gru_seq4_bptt() {
-        let mut rng = SeededRng::new(3);
-        let gru = Gru::new(2, 3, &mut rng);
-        check_layer(gru, &[2, 4, 2], 63, 3e-2);
-    }
-
-    #[test]
     fn gradcheck_gru_pooled() {
         crate::gradcheck::check_layer_pooled(
             || Gru::new(2, 3, &mut SeededRng::new(3)),
-            &[2, 4, 2],
+            &[2, 1, 2],
             63,
             3e-2,
         );
@@ -820,8 +738,8 @@ mod tests {
     #[should_panic(expected = "backward before forward")]
     fn backward_after_eval_only_forward_panics() {
         let mut gru = Gru::new(3, 4, &mut SeededRng::new(13));
-        gru.forward(&Tensor::ones(vec![2, 3, 3]), Mode::Eval);
-        gru.backward(&Tensor::ones(vec![2, 3, 4]));
+        gru.forward(&Tensor::ones(vec![2, 1, 3]), Mode::Eval);
+        gru.backward(&Tensor::ones(vec![2, 1, 4]));
     }
 
     /// An Eval forward drops the cache of an earlier Train forward, so a

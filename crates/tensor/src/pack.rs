@@ -31,7 +31,7 @@
 //! and under round-to-nearest `x + (-x) = +0.0`), so `acc += segment` is
 //! bit-equal to the "first product assigns, later products add" chain, and
 //! all-zero padding segments contribute exactly nothing. The same fact lets
-//! Conv1d write its first tap's product straight into its output where the
+//! Conv1d write its one live tap's product straight into its output where the
 //! seed added it to zeros.
 //!
 //! # Lane engines
@@ -411,24 +411,6 @@ pub fn gemm_bt_rows(
             }
         }
         jc = jhi;
-    }
-}
-
-/// The retained seed kernel: unblocked row-major sweep, one [`dot_seg`] per
-/// element. This is byte-for-byte the pre-blocking serial GEMM (with
-/// `seg == k`) and the reference the equivalence proptests and
-/// `bench_kernels` measure against.
-pub fn gemm_bt_reference(a: &[f32], bt: &[f32], out: &mut [f32], k: usize, n: usize, seg: usize) {
-    if n == 0 {
-        return;
-    }
-    let rows = out.len() / n;
-    for r in 0..rows {
-        let ar = &a[r * k..(r + 1) * k];
-        let or = &mut out[r * n..(r + 1) * n];
-        for (j, o) in or.iter_mut().enumerate() {
-            *o = dot_seg(ar, &bt[j * k..(j + 1) * k], seg);
-        }
     }
 }
 
@@ -1126,7 +1108,12 @@ pub fn matmul_at_into(a: &[f32], b: &[f32], k: usize, m: usize, n: usize, out: &
 }
 
 #[cfg(test)]
+#[path = "../../../tests/support/gemm_reference.rs"]
+mod gemm_reference;
+
+#[cfg(test)]
 mod tests {
+    use super::gemm_reference::gemm_bt_reference;
     use super::*;
 
     fn fill(len: usize, f: impl Fn(usize) -> f32) -> Vec<f32> {

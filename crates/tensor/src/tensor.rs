@@ -6,7 +6,7 @@ use std::ops::{Add, Div, Mul, Sub};
 ///
 /// `Tensor` is the single numeric container used throughout the Pelican
 /// reproduction: 2-D matrices for dense layers and classical ML, 3-D
-/// `[batch, time, channels]` blocks for the convolutional/recurrent layers.
+/// `[batch, 1, channels]` blocks for the convolutional/recurrent layers.
 ///
 /// Data is always contiguous; views are expressed as explicit copies
 /// (`row`, `gather_rows`, …) which keeps the implementation simple and the

@@ -1,10 +1,11 @@
 //! Equivalence suite for the packed compute core.
 //!
-//! The blocked GEMM (`pelican::tensor::pack`) and the sequence-length-1
-//! `Gru` step each retain their seed kernels as references
-//! (`gemm_bt_reference`, `reference_fwd_bwd`), `Conv1d` is checked against
-//! its seed per-tap path (`support/layer_reference.rs`'s `Conv1dRef`), and
-//! `matmul_at_into` against the serial scalar `matmul_at_rows`. These properties assert the optimized
+//! The blocked GEMM (`pelican::tensor::pack`) is checked against the seed
+//! GEMM (`support/gemm_reference.rs`'s `gemm_bt_reference`), the
+//! sequence-length-1 `Gru` step against its per-gate step
+//! (`reference_fwd_bwd`), `Conv1d` against its seed per-tap path
+//! (`support/layer_reference.rs`'s `Conv1dRef`), and `matmul_at_into`
+//! against the serial scalar `matmul_at_rows`. These properties assert the optimized
 //! paths are *bit-identical* to those references — compared through
 //! `f32::to_bits`, so `-0.0` vs `0.0` drift would fail, and a NaN must land
 //! where the reference puts one — across adversarial shapes (`k = 0`,
@@ -17,6 +18,8 @@
 //! replaced (`support/layer_reference.rs`), on inputs salted with signed
 //! zeros, subnormals, infinities and NaN payloads.
 
+#[path = "support/gemm_reference.rs"]
+mod gemm_reference;
 #[path = "support/layer_reference.rs"]
 mod layer_reference;
 #[path = "support/optim_reference.rs"]
@@ -30,6 +33,8 @@ use pelican::nn::{BatchNorm, Conv1d, Dropout, Gru, Layer, MaxPool1d, Mode, Param
 use pelican::prelude::*;
 use pelican::runtime::with_exec;
 use pelican::tensor::{pack, SeededRng, Tensor};
+// Read by `gemm_reference`.
+use pack::dot_seg;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::cell::Cell;
@@ -89,13 +94,13 @@ type Poison = (usize, f32, usize);
 /// A GRU, its input and its output gradient, with the `poison` elements
 /// overwritten. Deterministic, so every worker count sees the same case.
 fn poisoned_gru_case(
-    (batch, seq, cin, units): (usize, usize, usize, usize),
+    (batch, cin, units): (usize, usize, usize),
     poison: &[Poison],
     seed: u64,
 ) -> (Gru, Tensor, Tensor) {
     let mut rng = SeededRng::new(seed.wrapping_add(999));
-    let mut x = random_tensor(vec![batch, seq, cin], &mut rng);
-    let mut g = random_tensor(vec![batch, seq, units], &mut rng);
+    let mut x = random_tensor(vec![batch, 1, cin], &mut rng);
+    let mut g = random_tensor(vec![batch, 1, units], &mut rng);
     let mut gru = Gru::new(cin, units, &mut SeededRng::new(43));
     let set = |t: &mut Tensor, pos: usize, value: f32| {
         let n = t.len();
@@ -115,7 +120,7 @@ fn poisoned_gru_case(
 /// worker count against the reference: NaN lands where the reference
 /// puts it, and every other element, forward and backward, is bit-equal.
 fn check_poisoned_gru(
-    dims: (usize, usize, usize, usize),
+    dims: (usize, usize, usize),
     poison: &[Poison],
     seed: u64,
 ) -> Result<(), TestCaseError> {
@@ -167,19 +172,46 @@ fn check_poisoned_gru(
     Ok(())
 }
 
+/// A GRU case: `(batch, cin, units)` and its poisoned elements.
+type GruCase = ((usize, usize, usize), &'static [Poison]);
+
+/// Finite `x` and `Wr` whose product overflows: the forward guard fails.
+const FORWARD_GUARD_CASE: GruCase = (
+    (1, 2, 1),
+    &[(0, 1e30, 0), (0, 1e30, 1), (2, 1e30, 0), (2, -1e30, 1)],
+);
+
+/// Finite `Uh` and output gradient whose product overflows: the backward
+/// guard fails.
+const BACKWARD_GUARD_CASE: GruCase = (
+    (1, 1, 2),
+    &[
+        (0, 0.5, 0),
+        (6, 1e30, 0),
+        (6, -1e30, 1),
+        (10, 1e30, 0),
+        (10, 1e30, 1),
+    ],
+);
+
+/// The backward guard failing over 257 rows, which the pool splits.
+const FALLBACK_CASE: GruCase = (
+    (257, 3, 5),
+    &[(6, 1e30, 0), (6, -1e30, 1), (10, 1e30, 0), (10, 1e30, 1)],
+);
+
 /// Finite operands whose `x·Wr` overflows as `Inf − Inf`: the reset gate
 /// is NaN, so the sequence-length-1 forward bound must send the step down
 /// the path that propagates it. No single 1e30 reaches this bound.
 #[test]
 fn gru_forward_guard_bounds_the_reset_product() {
-    let dims = (1, 1, 2, 1);
-    let poison = [(0, 1e30, 0), (0, 1e30, 1), (2, 1e30, 0), (2, -1e30, 1)];
-    let (gru, x, _) = poisoned_gru_case(dims, &poison, 0);
+    let (dims, poison) = FORWARD_GUARD_CASE;
+    let (gru, x, _) = poisoned_gru_case(dims, poison, 0);
     assert!(
         gru.forward_reference(&x).as_slice()[0].is_nan(),
         "case does not poison h̃"
     );
-    check_poisoned_gru(dims, &poison, 0).unwrap();
+    check_poisoned_gru(dims, poison, 0).unwrap();
 }
 
 /// Finite `dh̃_pre` and `Uh` whose product `da` overflows as `Inf − Inf`:
@@ -187,18 +219,11 @@ fn gru_forward_guard_bounds_the_reset_product() {
 /// the reset gate's `dx`/`dWr`/`dbr` terms.
 #[test]
 fn gru_backward_guard_bounds_da() {
-    let dims = (1, 1, 1, 2);
-    let poison = [
-        (0, 0.5, 0),
-        (6, 1e30, 0),
-        (6, -1e30, 1),
-        (10, 1e30, 0),
-        (10, 1e30, 1),
-    ];
-    let (gru, x, g) = poisoned_gru_case(dims, &poison, 0);
+    let (dims, poison) = BACKWARD_GUARD_CASE;
+    let (gru, x, g) = poisoned_gru_case(dims, poison, 0);
     let (_, _, grads) = gru.reference_fwd_bwd(&x, &g);
     assert!(grads[7].as_slice()[0].is_nan(), "case does not poison dbr");
-    check_poisoned_gru(dims, &poison, 0).unwrap();
+    check_poisoned_gru(dims, poison, 0).unwrap();
 }
 
 /// `h̃_pre = bh` hits every branch of the candidate `tanh`: with `x = 0`
@@ -206,8 +231,7 @@ fn gru_backward_guard_bounds_da() {
 /// pre-activation is `bh` itself. Its 7 values per case span ±0, tiny and
 /// subnormal inputs, each `expm1` case (k = 0, −1, k ≤ −2, k < 23,
 /// 23 ≤ k ≤ 56, k > 56), saturation, ±Inf and NaN; `b·u = 35` puts them
-/// in two 16-lane blocks and the scalar tail. Sequence length 3 runs the
-/// per-gate step over the same biases.
+/// in two 16-lane blocks and the scalar tail.
 #[test]
 fn gru_candidate_covers_every_tanh_branch() {
     let values = [
@@ -234,12 +258,10 @@ fn gru_candidate_covers_every_tanh_branch() {
         15.0,
     ];
     let (batch, cin, units) = (5, 3, 7);
-    for seq in [1, 3] {
-        for bh in values.chunks(units) {
-            let mut poison: Vec<Poison> = (0..batch * seq * cin).map(|i| (0, 0.0, i)).collect();
-            poison.extend(bh.iter().enumerate().map(|(j, &v)| (9, v, j)));
-            check_poisoned_gru((batch, seq, cin, units), &poison, 0).unwrap();
-        }
+    for bh in values.chunks(units) {
+        let mut poison: Vec<Poison> = (0..batch * cin).map(|i| (0, 0.0, i)).collect();
+        poison.extend(bh.iter().enumerate().map(|(j, &v)| (9, v, j)));
+        check_poisoned_gru((batch, cin, units), &poison, 0).unwrap();
     }
 }
 
@@ -251,7 +273,7 @@ fn gru_candidate_covers_every_tanh_branch() {
 #[test]
 fn gru_seq1_epilogue_row_chunks_match_reference() {
     for batch in [1, 3, 5, 257] {
-        check_poisoned_gru((batch, 1, 5, 7), &[], 3).unwrap();
+        check_poisoned_gru((batch, 5, 7), &[], 3).unwrap();
     }
 }
 
@@ -261,14 +283,54 @@ fn gru_seq1_epilogue_row_chunks_match_reference() {
 /// gradients and still matches the reference at every worker count.
 #[test]
 fn gru_seq1_backward_fallback_recomputes_from_the_input() {
-    let dims = (257, 1, 3, 5);
-    let poison = [(6, 1e30, 0), (6, -1e30, 1), (10, 1e30, 0), (10, 1e30, 1)];
-    check_poisoned_gru(dims, &poison, 0).unwrap();
-    let (mut gru, x, g) = poisoned_gru_case(dims, &poison, 0);
+    let (dims, poison) = FALLBACK_CASE;
+    check_poisoned_gru(dims, poison, 0).unwrap();
+    let (mut gru, x, g) = poisoned_gru_case(dims, poison, 0);
     gru.forward(&x, Mode::Train);
     gru.backward(&g);
-    let wr = &gru.params_mut()[1];
-    assert_eq!(wr.written(), 0..wr.len(), "the backward guard held");
+    for (i, p) in gru.params_mut().into_iter().enumerate() {
+        assert_eq!(
+            p.written(),
+            0..p.len(),
+            "param {i}: the backward guard held"
+        );
+    }
+}
+
+/// The GRU's output, `dx` and nine parameter gradients on the three guard
+/// cases above, hashed with any NaN payload made canonical. There the
+/// layer takes the per-gate step, which is also the reference those tests
+/// compare it with; these digests were recorded when the per-gate step
+/// still ran any sequence length, and pin its bits at every worker count.
+#[test]
+fn gru_guard_fallback_bits_are_pinned() {
+    let cases = [
+        (FORWARD_GUARD_CASE, 0xff5a_cb3b_c994_72b8u64),
+        (BACKWARD_GUARD_CASE, 0x8ced_9d14_efc0_f179),
+        (FALLBACK_CASE, 0xa72f_95c9_efef_df20),
+    ];
+    for ((dims, poison), want) in cases {
+        for workers in WORKER_COUNTS {
+            let cfg = ExecConfig {
+                workers,
+                force_parallel: true,
+            };
+            let digest = with_exec(cfg, || {
+                let (mut gru, x, g) = poisoned_gru_case(dims, poison, 0);
+                let mut out = gru.forward(&x, Mode::Train).into_vec();
+                gru.zero_grad();
+                out.extend(gru.backward(&g).into_vec());
+                for p in gru.params_mut() {
+                    out.extend_from_slice(p.grad().as_slice());
+                }
+                out.iter_mut()
+                    .filter(|v| v.is_nan())
+                    .for_each(|v| *v = f32::NAN);
+                fnv1a(&out)
+            });
+            assert_eq!(digest, want, "{dims:?} @ {workers}: {digest:#018x}");
+        }
+    }
 }
 
 /// Tensor lengths in every optimizer parameter list: empty, one element,
@@ -829,7 +891,7 @@ fn check_gemm_poisoned(
 ) {
     let (a, bt) = poisoned_operands((m * k, n * k), poison, seed);
     let mut want = vec![0.0f32; m * n];
-    pack::gemm_bt_reference(&a, &bt, &mut want, k, n, seg);
+    gemm_reference::gemm_bt_reference(&a, &bt, &mut want, k, n, seg);
     for workers in WORKER_COUNTS {
         let cfg = ExecConfig {
             workers,
@@ -974,18 +1036,18 @@ proptest! {
     /// `Conv1d` forward/backward through `Layer` is bit-identical to the
     /// seed per-tap path (`Conv1dRef`), including the accumulated parameter
     /// gradients, with signed zeros, NaN and ±Inf salted into the input
-    /// and the weights: the shift-0 tap, which reads `x` and `dy` in place,
-    /// and the shifted taps, which gather them, must put NaN where the
-    /// seed puts it and match every other bit. The weight gradient's hull
-    /// is the live taps' slabs, `tap_lo·c_in·c_out..tap_hi·c_in·c_out`.
+    /// and the weights: the one live tap, which reads `x` and `dy` in
+    /// place, must put NaN where the seed puts it and match every other
+    /// bit. The weight gradient's hull is that tap's slab,
+    /// `pad·c_in·c_out..(pad + 1)·c_in·c_out`.
     #[test]
     fn prop_conv1d_matches_reference(
-        (batch, seq, cin, cout, kernel) in (1usize..5, 1usize..8, 1usize..5, 1usize..5, 1usize..8),
+        (batch, cin, cout, kernel) in (1usize..5, 1usize..5, 1usize..5, 1usize..8),
         poison in proptest::collection::vec((0usize..2, 0usize..5, 0usize..512), 0..4),
         seed in 0u64..150,
     ) {
         let mut rng = SeededRng::new(seed.wrapping_add(555));
-        let mut x = random_tensor(vec![batch, seq, cin], &mut rng);
+        let mut x = random_tensor(vec![batch, 1, cin], &mut rng);
         let new_conv = || Conv1d::new(cin, cout, kernel, &mut SeededRng::new(97));
         let (mut weight, bias) = {
             let mut conv = new_conv();
@@ -997,13 +1059,13 @@ proptest! {
             let len = op.len();
             op[pos % len] = OPERAND_POISON[v];
         }
-        let g = random_tensor(vec![batch, seq, cout], &mut SeededRng::new(seed ^ 0xC0));
+        let g = random_tensor(vec![batch, 1, cout], &mut SeededRng::new(seed ^ 0xC0));
         let reference = layer_reference::Conv1dRef::new(weight.clone(), bias);
         let want_y = reference.forward(&x);
         let (want_dx, want_dw, want_db) = reference.backward(&x, &g);
         let pad = (kernel - 1) / 2;
         let tap_size = cin * cout;
-        let hull = (pad + 1).saturating_sub(seq) * tap_size..kernel.min(pad + seq) * tap_size;
+        let hull = pad * tap_size..(pad + 1) * tap_size;
         for workers in WORKER_COUNTS {
             let cfg = ExecConfig { workers, force_parallel: true };
             with_exec(cfg, || -> Result<(), proptest::test_runner::TestCaseError> {
@@ -1011,8 +1073,8 @@ proptest! {
                 conv.params_mut()[0].value = weight.clone();
                 let y = conv.forward(&x, Mode::Train);
                 prop_assert!(same_nan_positions_and_bits(y.as_slice(), want_y.as_slice()),
-                    "conv fwd b={} t={} cin={} cout={} k={} poison {:?} @ {}",
-                    batch, seq, cin, cout, kernel, poison, workers);
+                    "conv fwd b={} cin={} cout={} k={} poison {:?} @ {}",
+                    batch, cin, cout, kernel, poison, workers);
                 conv.zero_grad();
                 let dx = conv.backward(&g);
                 prop_assert!(same_nan_positions_and_bits(dx.as_slice(), want_dx.as_slice()),
@@ -1030,18 +1092,16 @@ proptest! {
         }
     }
 
-    /// `Gru` through `Layer` is bit-identical to the retained per-gate
-    /// seed path end to end: the sequence-length-1 step at t = 1, the
-    /// per-gate step itself at t > 1, whose backward must write every
-    /// gradient through `grad_mut` so the optimizers' hull sweeps see it.
+    /// `Gru` through `Layer`, the sequence-length-1 step, is bit-identical
+    /// to the retained per-gate step end to end.
     #[test]
     fn prop_gru_matches_reference(
-        (batch, seq, cin, units) in (1usize..5, 1usize..6, 1usize..5, 1usize..6),
+        (batch, cin, units) in (1usize..5, 1usize..5, 1usize..6),
         seed in 0u64..150,
     ) {
         let mut rng = SeededRng::new(seed.wrapping_add(777));
-        let x = random_tensor(vec![batch, seq, cin], &mut rng);
-        let g = random_tensor(vec![batch, seq, units], &mut rng);
+        let x = random_tensor(vec![batch, 1, cin], &mut rng);
+        let g = random_tensor(vec![batch, 1, units], &mut rng);
         for workers in WORKER_COUNTS {
             let cfg = ExecConfig { workers, force_parallel: true };
             with_exec(cfg, || -> Result<(), proptest::test_runner::TestCaseError> {
@@ -1049,16 +1109,13 @@ proptest! {
                 let (want_y, want_dx, want_grads) = gru.reference_fwd_bwd(&x, &g);
                 let y = gru.forward(&x, Mode::Train);
                 prop_assert_eq!(bits(&y), bits(&want_y),
-                    "gru fwd b={} t={} cin={} u={} @ {}", batch, seq, cin, units, workers);
+                    "gru fwd b={} cin={} u={} @ {}", batch, cin, units, workers);
                 gru.zero_grad();
                 let dx = gru.backward(&g);
                 prop_assert_eq!(bits(&dx), bits(&want_dx), "gru dx @ {}", workers);
                 for (p, want) in gru.params_mut().into_iter().zip(&want_grads) {
                     prop_assert_eq!(raw_bits(p.grad().as_slice()), bits(want),
                         "gru param grad @ {}", workers);
-                    if seq > 1 {
-                        prop_assert_eq!(p.written(), 0..p.len(), "gru grad hull @ {}", workers);
-                    }
                 }
                 Ok(())
             })?;
@@ -1070,15 +1127,14 @@ proptest! {
     /// they are exact and otherwise compute the products, so NaN lands
     /// where the reference puts it and every other element, forward and
     /// backward, is bit-equal. Two poisoned operands can defeat a bound
-    /// (1e30 in both `x` and `Wr`) that one alone cannot. Sequence length
-    /// 3 runs the per-gate step over the same poison.
+    /// (1e30 in both `x` and `Wr`) that one alone cannot.
     #[test]
     fn prop_gru_non_finite_matches_reference(
-        (batch, seq_pick, cin, units) in (1usize..5, 0usize..2, 1usize..5, 1usize..6),
+        (batch, cin, units) in (1usize..5, 1usize..5, 1usize..6),
         poison in proptest::collection::vec((0usize..11, 0usize..4, 0usize..64), 1..3),
         seed in 0u64..150,
     ) {
-        let dims = (batch, [1, 3][seq_pick], cin, units);
+        let dims = (batch, cin, units);
         let poison: Vec<Poison> = poison
             .into_iter()
             .map(|(target, kind, pos)| (target, CORRUPTIONS[kind].value(), pos))
@@ -1251,7 +1307,7 @@ fn dropout_matches_reference() {
     });
 }
 
-/// FNV-1a over the bits of every mask element, in order.
+/// FNV-1a over the bits of every element, in order.
 fn fnv1a(v: &[f32]) -> u64 {
     v.iter()
         .flat_map(|x| x.to_bits().to_le_bytes())
@@ -1309,31 +1365,27 @@ fn activations_match_reference() {
     });
 }
 
-/// `MaxPool1d` against its retained reference at every pool size the
-/// sequence admits, forward and backward, in both modes.
+/// `MaxPool1d` against its retained reference on the sequence-length-1
+/// shapes, forward and backward, in both modes.
 #[test]
 fn maxpool_matches_reference() {
     for_each_layer_case(9400, |shape, x, dy, workers| {
-        let t = if shape.len() == 3 { shape[1] } else { 1 };
-        for pool in 1..=t {
-            for mode in [Mode::Train, Mode::Eval] {
-                let mut want = layer_reference::MaxPool1dRef::new(pool);
-                let mut p = MaxPool1d::new(pool);
-                let case = format!("maxpool {pool} {mode:?} {shape:?} @ {workers}");
-                let y = p.forward(x, mode);
-                let want_y = want.forward(x, mode);
-                assert_eq!(y.shape(), want_y.shape(), "{case}");
-                assert_same_bits(&y, &want_y, &case, "y");
-                // The output gradient has the output's shape.
-                let g = Tensor::from_vec(
-                    want_y.shape().to_vec(),
-                    dy.as_slice()[..want_y.len()].to_vec(),
-                )
-                .unwrap();
-                let dx = p.backward(&g);
-                assert_eq!(dx.shape(), shape, "{case}");
-                assert_same_bits(&dx, &want.backward(&g), &case, "dx");
-            }
+        if shape.len() == 3 && shape[1] != 1 {
+            return;
+        }
+        for mode in [Mode::Train, Mode::Eval] {
+            let mut want = layer_reference::MaxPool1dRef::new(1);
+            let mut p = MaxPool1d::new(1);
+            let case = format!("maxpool {mode:?} {shape:?} @ {workers}");
+            let y = p.forward(x, mode);
+            let want_y = want.forward(x, mode);
+            assert_eq!(y.shape(), want_y.shape(), "{case}");
+            assert_same_bits(&y, &want_y, &case, "y");
+            // The output gradient has the output's shape.
+            let g = dy.reshape(want_y.shape().to_vec()).unwrap();
+            let dx = p.backward(&g);
+            assert_eq!(dx.shape(), shape, "{case}");
+            assert_same_bits(&dx, &want.backward(&g), &case, "dx");
         }
     });
 }

@@ -137,9 +137,9 @@ fn sum_axis0_is_bit_stable() {
 #[test]
 fn conv1d_fwd_bwd_is_bit_stable() {
     let mut rng = SeededRng::new(7);
-    for (batch, seq, cin) in [(1usize, 5usize, 3usize), (4, 7, 2), (2, 1, 4)] {
-        let x = random_tensor(vec![batch, seq, cin], &mut rng);
-        assert_bit_stable(&format!("conv1d fwd/bwd batch={batch} seq={seq}"), || {
+    for (batch, cin) in [(1usize, 3usize), (4, 2), (2, 4)] {
+        let x = random_tensor(vec![batch, 1, cin], &mut rng);
+        assert_bit_stable(&format!("conv1d fwd/bwd batch={batch} cin={cin}"), || {
             layer_fwd_bwd(|| Conv1d::new(cin, 4, 3, &mut SeededRng::new(31)), &x, 97)
         });
     }
@@ -148,9 +148,9 @@ fn conv1d_fwd_bwd_is_bit_stable() {
 #[test]
 fn gru_fwd_bwd_is_bit_stable() {
     let mut rng = SeededRng::new(8);
-    for (batch, seq, cin) in [(1usize, 4usize, 3usize), (5, 3, 2), (2, 1, 3)] {
-        let x = random_tensor(vec![batch, seq, cin], &mut rng);
-        assert_bit_stable(&format!("gru fwd/bwd batch={batch} seq={seq}"), || {
+    for (batch, cin) in [(1usize, 3usize), (5, 2), (2, 3)] {
+        let x = random_tensor(vec![batch, 1, cin], &mut rng);
+        assert_bit_stable(&format!("gru fwd/bwd batch={batch} cin={cin}"), || {
             layer_fwd_bwd(|| Gru::new(cin, 3, &mut SeededRng::new(37)), &x, 101)
         });
     }
